@@ -70,10 +70,12 @@ bench-depth:
 
 # Allocation profile of the hot path: the dispatch benchmark must report
 # 0 allocs/op and the end-to-end sort should stay well under the seed's
-# 38287 allocs/op.
+# 38287 allocs/op. The Group C LCA row shows machine start-up cost
+# (bytes/op of a composite algorithm that builds one machine per phase)
+# beside sort's.
 allocs:
 	$(GO) test -bench 'BenchmarkDiskArrayOp' -benchmem ./internal/pdm/
-	$(GO) test -bench 'BenchmarkFig5GroupA/sort-emcgm' -benchmem .
+	$(GO) test -bench 'BenchmarkFig5GroupA/sort-emcgm|BenchmarkFig5GroupC/lca$$' -benchmem .
 
 # Build the invariant lint suite as a standalone vet tool and print its
 # absolute path, so shell substitution composes:

@@ -55,7 +55,10 @@ import (
 // Ownership rule: a scratch belongs to exactly one real processor's
 // goroutine; nothing inside it escapes a superstep except through explicit
 // copies (disk writes copy block contents; decode allocates fresh item
-// slices).
+// slices). The word images come from the pdm word free list and go back
+// to it (release) once the run's disk arrays are closed and every
+// in-flight transfer has drained. They are not zeroed: every image is
+// overwritten by a full encode or a full read before it is consumed.
 type superstepScratch struct {
 	ctxImg []pdm.Word     // cb·B words: context encode/decode image
 	flat   []pdm.Word     // flat inbox/outbox slot images
@@ -65,17 +68,29 @@ type superstepScratch struct {
 }
 
 // newSuperstepScratch sizes the scratch for context runs of cb blocks and
-// flat slot images of flatBlocks blocks of b words.
+// flat slot images of flatBlocks blocks of b words. cb = 0 builds a
+// route-only slot: no context image, just the flat image.
 func newSuperstepScratch(cb, flatBlocks, b int) *superstepScratch {
 	m := flatBlocks
 	if cb > m {
 		m = cb
 	}
 	return &superstepScratch{
-		ctxImg: make([]pdm.Word, cb*b),
-		flat:   make([]pdm.Word, flatBlocks*b),
+		ctxImg: pdm.AllocWords(cb * b),
+		flat:   pdm.AllocWords(flatBlocks * b),
 		reqs:   make([]pdm.BlockReq, 0, m),
 		bufs:   make([][]pdm.Word, 0, m),
+	}
+}
+
+// releaseRing returns the word images of scratch slots to the pdm free
+// list. Callers release only after closing the disk arrays the slots
+// transferred against, with every Pending waited.
+func releaseRing(ring ...*superstepScratch) {
+	for _, s := range ring {
+		pdm.FreeWords(s.ctxImg)
+		pdm.FreeWords(s.flat)
+		s.ctxImg, s.flat = nil, nil
 	}
 }
 

@@ -94,25 +94,50 @@ func pipeDepth(cfg Config, vCap, slotWords int) (k, maxK int, err error) {
 	return k, maxK, nil
 }
 
-// queueHint sizes the per-disk work queues for a window of up to maxK
-// slots of slotBlocks blocks striped/packed over d disks: reads and
-// writes of the whole window may be queued at once, so twice the
-// window's per-disk share, plus slack for uneven packing. The array
+// ringShape describes a pipelined driver's scratch ring by what each slot
+// actually holds. Slots below full carry a full superstep working set: a
+// context run of cb blocks plus a flatBlocks-block inbox image. The slots
+// past them are only ever used by the parallel driver's route phase, which
+// encodes one landed batch of routeBlocks blocks per slot and never a
+// context, so they get a route-only image. The sequential driver sets
+// full ≥ its maximum depth: every one of its slots is a VP slot.
+type ringShape struct {
+	full, cb, flatBlocks, routeBlocks, b int
+}
+
+// slot builds ring slot i.
+func (r ringShape) slot(i int) *superstepScratch {
+	if i < r.full {
+		return newSuperstepScratch(r.cb, r.flatBlocks, r.b)
+	}
+	return newSuperstepScratch(0, r.routeBlocks, r.b)
+}
+
+// queueHint sizes the per-disk work queues for a ring of up to maxK slots
+// of this shape striped/packed over d disks. The two phases of a round
+// never overlap in flight — the VP loop's transfers all land before the
+// route phase begins, and the route writes before the round ends — so the
+// burst to absorb is the larger phase's: the VP slots' working sets, or
+// one route batch per slot. Each slot's per-disk share is padded by one
+// transfer for uneven packing, and the whole doubled as slack. The array
 // still applies its own default floor.
-func queueHint(maxK, slotBlocks, d int) int {
+func (r ringShape) queueHint(maxK, d int) int {
 	if d < 1 {
 		d = 1
 	}
-	return 2 * maxK * ((slotBlocks+d-1)/d + 1)
+	perDisk := func(blocks int) int { return (blocks+d-1)/d + 1 }
+	vpPhase := min(maxK, r.full) * perDisk(r.cb+r.flatBlocks)
+	routePhase := maxK * perDisk(r.routeBlocks)
+	return 2 * max(vpPhase, routePhase)
 }
 
-// growRing appends fresh scratch slots and in-flight trackers to a
-// driver's ring, taking it from its current depth to k. Callers grow
-// only between rounds, with every slot's reads and writes drained, so
-// the new zero-valued slots are immediately usable.
-func growRing(scr []*superstepScratch, pend []vpInflight, k, cb, flatBlocks, b int) ([]*superstepScratch, []vpInflight) {
+// growRing appends scratch slots of the given shape and in-flight trackers
+// to a driver's ring, taking it from its current depth to k. Callers grow
+// only between rounds, with every slot's reads and writes drained, so the
+// new slots are immediately usable.
+func growRing(scr []*superstepScratch, pend []vpInflight, k int, shape ringShape) ([]*superstepScratch, []vpInflight) {
 	for len(scr) < k {
-		scr = append(scr, newSuperstepScratch(cb, flatBlocks, b))
+		scr = append(scr, shape.slot(len(scr)))
 		pend = append(pend, vpInflight{})
 	}
 	return scr, pend

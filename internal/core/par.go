@@ -107,6 +107,9 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		for _, a := range arrays {
 			_ = a.Close() // cleanup path; I/O errors already surfaced per op
 		}
+		for _, s := range scrs {
+			releaseRing(s.superstepScratch)
+		}
 	}()
 
 	rec := cfg.Recorder

@@ -18,7 +18,8 @@ import (
 // computes out of img[l mod K] while the slots ahead of it prefetch and
 // the slots behind it drain) plus the cross-processor batch containers
 // shared with the synchronous schedule. The route phase reuses the same
-// ring, cycling landed batches through all K slots.
+// ring, cycling landed batches through all K slots; slots at or past
+// localV serve only the route phase and hold no context image.
 type pipeProcScratch[T any] struct {
 	img  []*superstepScratch
 	send [][][]T
@@ -62,19 +63,27 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 
 	// Ring depth per processor: capped at v (the route phase cycles up
 	// to v batches through the ring even when localV is small), bounded
-	// by M against k working sets.
+	// by M against k working sets. The VP loop uses only slots below
+	// localV; the slots past them only ever hold one route batch of
+	// localV·bpm blocks, so they are sized to that.
 	slotBlocks := cb + v*bpm
 	k, maxK, err := pipeDepth(cfg, v, slotBlocks*cfg.B)
 	if err != nil {
 		return nil, err
 	}
+	shape := ringShape{full: localV, cb: cb, flatBlocks: v * bpm, routeBlocks: localV * bpm, b: cfg.B}
 
-	// Per-processor state.
+	// Per-processor state. Each processor's split-phase trackers (pends,
+	// routePends) are owned by its goroutine for the round's duration;
+	// rounds are sequenced by the barrier, so reuse — and the
+	// between-round ring growth below — is race-free.
 	arrays := make([]*pdm.DiskArray, p)
 	matrices := make([][2]layout.Rect, p)
 	scrs := make([]*pipeProcScratch[T], p)
+	pends := make([][]vpInflight, p)
+	routePends := make([][]pdm.PendingSet, p)
 	for i := 0; i < p; i++ {
-		a, err := cfg.newArray(i, queueHint(maxK, slotBlocks, cfg.D))
+		a, err := cfg.newArray(i, shape.queueHint(maxK, cfg.D))
 		if err != nil {
 			return nil, err
 		}
@@ -88,10 +97,9 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			return nil, err
 		}
 		matrices[i] = [2]layout.Rect{m0, m1}
-		s := &pipeProcScratch[T]{img: make([]*superstepScratch, 0, maxK)}
-		for len(s.img) < k {
-			s.img = append(s.img, newSuperstepScratch(cb, v*bpm, cfg.B))
-		}
+		s := &pipeProcScratch[T]{}
+		s.img, pends[i] = growRing(make([]*superstepScratch, 0, maxK), make([]vpInflight, 0, maxK), k, shape)
+		routePends[i] = make([]pdm.PendingSet, k, maxK)
 		s.send = make([][][]T, localV*p)
 		for k := range s.send {
 			s.send[k] = make([][]T, localV)
@@ -101,6 +109,9 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	defer func() {
 		for _, a := range arrays {
 			_ = a.Close() // cleanup path; I/O errors already surfaced per op
+		}
+		for _, s := range scrs {
+			releaseRing(s.img...)
 		}
 	}()
 
@@ -200,16 +211,6 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	for i := 0; i < p; i++ {
 		sentItems[i] = make([]int, localV)
 		recvItems[i] = make([]int, localV)
-	}
-
-	// Per-proc split-phase state, owned by processor i's goroutine for the
-	// round's duration; rounds are sequenced by the barrier, so reuse —
-	// and the between-round ring growth below — is race-free.
-	pends := make([][]vpInflight, p)
-	routePends := make([][]pdm.PendingSet, p)
-	for i := 0; i < p; i++ {
-		pends[i] = make([]vpInflight, k, maxK)
-		routePends[i] = make([]pdm.PendingSet, k, maxK)
 	}
 
 	// emcgm:barrier(send=chans,rounds=v)
@@ -649,7 +650,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 						newK = maxK
 					}
 					for i := 0; i < p; i++ {
-						scrs[i].img, pends[i] = growRing(scrs[i].img, pends[i], newK, cb, v*bpm, cfg.B)
+						scrs[i].img, pends[i] = growRing(scrs[i].img, pends[i], newK, shape)
 						for len(routePends[i]) < newK {
 							routePends[i] = append(routePends[i], pdm.PendingSet{})
 						}

@@ -62,7 +62,11 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 	if err != nil {
 		return nil, err
 	}
-	defer arr.Close()
+	scr := newSuperstepScratch(cb, v*bpm, cfg.B)
+	defer func() {
+		_ = arr.Close() // cleanup path; I/O errors already surfaced per op
+		releaseRing(scr)
+	}()
 
 	rec := cfg.Recorder
 	var track obs.TrackID
@@ -72,7 +76,6 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 	}
 
 	res := &Result[T]{Outputs: make([][]T, v)}
-	scr := newSuperstepScratch(cb, v*bpm, cfg.B)
 
 	writeCtx := func(j int, state []T) error {
 		if err := encodeCtxInto(codec, state, maxCtx, scr.ctxImg); err != nil {

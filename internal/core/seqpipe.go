@@ -85,11 +85,16 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	if err != nil {
 		return nil, err
 	}
-	arr, err := cfg.newArray(0, queueHint(maxK, slotBlocks, cfg.D))
+	shape := ringShape{full: v, cb: cb, flatBlocks: v * bpm, b: cfg.B} // k ≤ v: every slot is a VP slot
+	arr, err := cfg.newArray(0, shape.queueHint(maxK, cfg.D))
 	if err != nil {
 		return nil, err
 	}
-	defer arr.Close()
+	scr, pend := growRing(make([]*superstepScratch, 0, maxK), make([]vpInflight, 0, maxK), k, shape)
+	defer func() {
+		_ = arr.Close() // cleanup path; I/O errors already surfaced per op
+		releaseRing(scr...)
+	}()
 
 	rec := cfg.Recorder
 	var track obs.TrackID
@@ -104,9 +109,6 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	}
 
 	res := &Result[T]{Outputs: make([][]T, v)}
-	scr := make([]*superstepScratch, 0, maxK)
-	pend := make([]vpInflight, 0, maxK)
-	scr, pend = growRing(scr, pend, k, cb, v*bpm, cfg.B)
 
 	// drain waits out every in-flight operation before an error return:
 	// no handle leaks, no worker left holding a buffer reference. The
@@ -416,7 +418,7 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 					if newK > maxK {
 						newK = maxK
 					}
-					scr, pend = growRing(scr, pend, newK, cb, v*bpm, cfg.B)
+					scr, pend = growRing(scr, pend, newK, shape)
 					depthGauge.Store(int64(newK))
 					stallName = fmt.Sprintf("stall k=%d", newK)
 					rec.Event(track, fmt.Sprintf("pipeline depth → %d", newK), "adapt")

@@ -36,7 +36,8 @@ type MemDisk struct {
 	mu     sync.RWMutex
 	b      int
 	tracks [][]Word
-	arena  []Word // unused tail of the current chunk
+	arena  []Word   // unused tail of the current chunk
+	chunks [][]Word // every arena chunk, returned to the word free list on Close
 	closed bool
 }
 
@@ -84,9 +85,10 @@ func (d *MemDisk) writeLocked(t int, src []Word) error {
 	}
 	if d.tracks[t] == nil {
 		// emcgm:coldpath first write of a track slices it from the arena;
-		// the refill make is amortised over memDiskArenaTracks tracks
+		// the refill is amortised over memDiskArenaTracks tracks
 		if len(d.arena) < d.b {
-			d.arena = make([]Word, memDiskArenaTracks*d.b)
+			d.arena = AllocWords(memDiskArenaTracks * d.b)
+			d.chunks = append(d.chunks, d.arena)
 		}
 		d.tracks[t] = d.arena[:d.b:d.b]
 		d.arena = d.arena[d.b:]
@@ -158,13 +160,20 @@ func (d *MemDisk) WriteTracks(tracks []int, bufs [][]Word) error {
 	return nil
 }
 
-// Close marks the disk closed; subsequent I/O fails with ErrClosed.
+// Close marks the disk closed; subsequent I/O fails with ErrClosed. The
+// arena chunks go back to the word free list: the lock orders Close after
+// every transfer already inside the disk, and a closed disk touches no
+// track again.
 func (d *MemDisk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.closed = true
+	for _, c := range d.chunks {
+		FreeWords(c)
+	}
 	d.tracks = nil
 	d.arena = nil
+	d.chunks = nil
 	return nil
 }
 
