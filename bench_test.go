@@ -6,7 +6,8 @@ package repro
 //   - Fig. 3:  vm/em time ratio (the thrashing crossover)
 //   - Fig. 4:  parallel I/Os at D = 1 vs D = 2
 //   - Fig. 5:  io-const = ParallelOps/(N/pDB) per problem row — flat in N
-//     for the O(N/pDB) class
+//     for the O(N/pDB) class — under the default live extents, beside
+//     io-const-paper under the paper's content-oblivious extents
 //   - Fig. 6/7: the parameter-space surface (pure computation)
 //   - Fig. 8:  modelled throughput at each block size
 //
@@ -41,6 +42,17 @@ const (
 
 func ioConst(ops int64, n int) float64 {
 	return float64(ops) / (float64(n) / float64(benchP*benchD*benchB))
+}
+
+// reportIOConsts reports a Figure 5 row's two I/O constants: io-const
+// from the timed runs, which use the default live extents, and
+// io-const-paper from one more run under the paper's content-oblivious
+// extents (core.Config.Oblivious), made with the timer and allocation
+// counters stopped so it does not perturb the row's time or B/op.
+func reportIOConsts(b *testing.B, n int, liveOps int64, run func(oblivious bool) int64) {
+	b.StopTimer()
+	b.ReportMetric(ioConst(liveOps, n), "io-const")
+	b.ReportMetric(ioConst(run(true), n), "io-const-paper")
 }
 
 // BenchmarkFig3 measures EM-CGM sorting across the sizes of Figure 3 and
@@ -100,16 +112,19 @@ func BenchmarkFig5GroupA(b *testing.B) {
 	b.Run("sort-emcgm", func(b *testing.B) {
 		b.ReportAllocs()
 		keys := workload.Int64s(1, n)
-		var c float64
-		for i := 0; i < b.N; i++ {
+		run := func(oblivious bool) int64 {
 			_, res, err := sortalg.EMSort(keys, wordcodec.I64{},
-				core.Config{V: benchV, P: benchP, D: benchD, B: benchB})
+				core.Config{V: benchV, P: benchP, D: benchD, B: benchB, Oblivious: oblivious})
 			if err != nil {
 				b.Fatal(err)
 			}
-			c = ioConst(res.IO.ParallelOps, n)
+			return res.IO.ParallelOps
 		}
-		b.ReportMetric(c, "io-const")
+		var ops int64
+		for i := 0; i < b.N; i++ {
+			ops = run(false)
+		}
+		reportIOConsts(b, n, ops, run)
 	})
 	b.Run("sort-pdm-baseline", func(b *testing.B) {
 		b.ReportAllocs()
@@ -130,31 +145,37 @@ func BenchmarkFig5GroupA(b *testing.B) {
 		b.ReportAllocs()
 		vals := workload.Int64s(3, n)
 		dests := workload.Permutation(4, n)
-		var c float64
-		for i := 0; i < b.N; i++ {
+		run := func(oblivious bool) int64 {
 			_, res, err := permute.EMPermute(vals, dests,
-				core.Config{V: benchV, P: benchP, D: benchD, B: benchB})
+				core.Config{V: benchV, P: benchP, D: benchD, B: benchB, Oblivious: oblivious})
 			if err != nil {
 				b.Fatal(err)
 			}
-			c = ioConst(res.IO.ParallelOps, n)
+			return res.IO.ParallelOps
 		}
-		b.ReportMetric(c, "io-const")
+		var ops int64
+		for i := 0; i < b.N; i++ {
+			ops = run(false)
+		}
+		reportIOConsts(b, n, ops, run)
 	})
 	b.Run("transpose", func(b *testing.B) {
 		b.ReportAllocs()
 		const k = 256
 		vals := workload.Int64s(5, n)
-		var c float64
-		for i := 0; i < b.N; i++ {
+		run := func(oblivious bool) int64 {
 			_, res, err := transpose.EMTranspose(vals, k, n/k,
-				core.Config{V: benchV, P: benchP, D: benchD, B: benchB})
+				core.Config{V: benchV, P: benchP, D: benchD, B: benchB, Oblivious: oblivious})
 			if err != nil {
 				b.Fatal(err)
 			}
-			c = ioConst(res.IO.ParallelOps, n)
+			return res.IO.ParallelOps
 		}
-		b.ReportMetric(c, "io-const")
+		var ops int64
+		for i := 0; i < b.N; i++ {
+			ops = run(false)
+		}
+		reportIOConsts(b, n, ops, run)
 	})
 }
 
@@ -165,15 +186,19 @@ func BenchmarkFig5GroupB(b *testing.B) {
 	runB := func(name string, f func(e *rec.Exec) error) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			var c float64
-			for i := 0; i < b.N; i++ {
+			run := func(oblivious bool) int64 {
 				e := rec.NewEM(benchV, benchP, benchD, benchB)
+				e.Oblivious = oblivious
 				if err := f(e); err != nil {
 					b.Fatal(err)
 				}
-				c = ioConst(e.IO.ParallelOps, n)
+				return e.IO.ParallelOps
 			}
-			b.ReportMetric(c, "io-const")
+			var ops int64
+			for i := 0; i < b.N; i++ {
+				ops = run(false)
+			}
+			reportIOConsts(b, n, ops, run)
 		})
 	}
 	runB("trapezoidal-decomposition", func(e *rec.Exec) error {
@@ -231,15 +256,19 @@ func BenchmarkFig5GroupC(b *testing.B) {
 	runC := func(name string, f func(e *rec.Exec) error) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			var c float64
-			for i := 0; i < b.N; i++ {
+			run := func(oblivious bool) int64 {
 				e := rec.NewEM(benchV, benchP, benchD, benchB)
+				e.Oblivious = oblivious
 				if err := f(e); err != nil {
 					b.Fatal(err)
 				}
-				c = ioConst(e.IO.ParallelOps, n)
+				return e.IO.ParallelOps
 			}
-			b.ReportMetric(c, "io-const")
+			var ops int64
+			for i := 0; i < b.N; i++ {
+				ops = run(false)
+			}
+			reportIOConsts(b, n, ops, run)
 		})
 	}
 	runC("list-ranking", func(e *rec.Exec) error {

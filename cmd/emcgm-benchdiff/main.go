@@ -18,7 +18,10 @@
 //
 // Ledger mode reads a costmodel ledger export (emcgm-bench -ledger) and
 // checks each run's Theorem 2/3 prediction against its own measurement:
-// predicted parallel I/Os must equal measured bit-exactly. With
+// predicted parallel I/Os must equal measured bit-exactly for a run with
+// the content-oblivious extents (core.Config.Oblivious), and bound the
+// measured count from above for a live-extent run — reported as an
+// exact parallel_ios_over_bound of zero beside the two counts. With
 // -model-tol it additionally requires the modelled wall time within the
 // given relative tolerance of the measured wall (meaningful only for
 // ledgers calibrated on a disk model where I/O dominates, e.g.
@@ -137,6 +140,16 @@ func ledgerFiles(runs []costmodel.ExportedRun, withWall bool) (pred, meas *bench
 		}
 		pm := []benchfmt.Metric{benchfmt.ExactMetric("parallel_ios", "ops", r.PredOps)}
 		mm := []benchfmt.Metric{benchfmt.ExactMetric("parallel_ios", "ops", r.Totals.ParallelOps)}
+		if !r.Machine.Oblivious {
+			// A live-extent run's prediction is an upper bound: the excess
+			// over it must be exactly zero, and the counts compare as a
+			// lower-is-better metric.
+			over := max(0, r.Totals.ParallelOps-r.PredOps)
+			pm = []benchfmt.Metric{benchfmt.ExactMetric("parallel_ios_over_bound", "ops", 0),
+				{Name: "parallel_ios", Unit: "ops", Better: benchfmt.Lower, Value: float64(r.PredOps)}}
+			mm = []benchfmt.Metric{benchfmt.ExactMetric("parallel_ios_over_bound", "ops", over),
+				{Name: "parallel_ios", Unit: "ops", Better: benchfmt.Lower, Value: float64(r.Totals.ParallelOps)}}
+		}
 		if withWall {
 			pm = append(pm, benchfmt.Metric{Name: "wall", Unit: "ns", Better: benchfmt.Lower, Value: float64(r.ModelWallNs)})
 			mm = append(mm, benchfmt.Metric{Name: "wall", Unit: "ns", Better: benchfmt.Lower, Value: float64(r.WallNs)})

@@ -35,6 +35,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
 	pipeline := flag.Bool("pipeline", true, "use the split-phase pipelined superstep schedule (PDM counts are identical either way)")
 	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = auto from the calibrated time model)")
+	oblivious := flag.Bool("oblivious", false, "move every reserved block of each context and message slot (the paper's content-oblivious schedule) instead of only the live extent")
 	flag.Parse()
 
 	for _, f := range []struct {
@@ -56,7 +57,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: -depth must be >= 0 (0 = auto), got %d\n", *depth)
 		os.Exit(2)
 	}
-	mcfg := core.Config{V: *v, P: *p, D: *d, B: *b, PipelineDepth: *depth, DiskDir: *disks, DirectIO: *directio}
+	mcfg := core.Config{V: *v, P: *p, D: *d, B: *b, PipelineDepth: *depth, DiskDir: *disks, DirectIO: *directio, Oblivious: *oblivious}
 	if err := mcfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: %v\n", err)
 		os.Exit(2)
@@ -101,6 +102,7 @@ func main() {
 	e1.Recorder = recorder
 	e1.DiskDir, e1.DirectIO = *disks, *directio
 	e1.Depth = *depth
+	e1.Oblivious = *oblivious
 	if !*pipeline {
 		e1.Pipeline = core.PipelineOff
 	}
@@ -122,6 +124,7 @@ func main() {
 	e2.Recorder = recorder
 	e2.DiskDir, e2.DirectIO = *disks, *directio
 	e2.Depth = *depth
+	e2.Oblivious = *oblivious
 	if !*pipeline {
 		e2.Pipeline = core.PipelineOff
 	}
@@ -147,6 +150,7 @@ func main() {
 	e3.Recorder = recorder
 	e3.DiskDir, e3.DirectIO = *disks, *directio
 	e3.Depth = *depth
+	e3.Oblivious = *oblivious
 	if !*pipeline {
 		e3.Pipeline = core.PipelineOff
 	}

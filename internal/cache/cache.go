@@ -46,7 +46,9 @@ func (m Model) TunedSortMisses(keys []int64) (misses int64, stall time.Duration,
 	for 3*(n/v) > m.MWords && v < n {
 		v *= 2
 	}
-	cfg := sortalg.EMSortConfig(core.Config{V: v, P: 1, D: 1, B: m.LineWords}, n)
+	// The paper's simulation moves every reserved line of a context or
+	// message slot; the model counts that schedule's transfers.
+	cfg := sortalg.EMSortConfig(core.Config{V: v, P: 1, D: 1, B: m.LineWords, Oblivious: true}, n)
 	if err := cfg.Validate(); err != nil {
 		return 0, 0, v, err
 	}

@@ -19,10 +19,18 @@
 // messaging I/O), communication volume, and superstep counts — the
 // quantities Theorems 2 and 3 bound.
 //
-// The simulation is content-oblivious, as a deterministic simulation must
-// be: every compound superstep reads and writes the full reserved context
-// run of each virtual processor and all v message slots of its inbox and
-// outbox, regardless of how much data the program actually produced.
+// The simulation is deterministic, with fixed addresses and data-dependent
+// extents: every context run and message slot has a fixed reserved place
+// on disk (the consecutive and staggered formats of the paper), but a
+// transfer moves only the live prefix of that place — ⌈(1+n·w)/B⌉ blocks
+// for an image of n items of w words, none for an empty message. The
+// lengths come from tables held in memory, so the schedule is still a
+// pure function of the program's inputs and the configuration. Because a
+// live extent is a prefix of its reserved run, a live transfer never
+// costs more parallel I/Os than the reserved one, and the Theorem 2/3
+// bounds hold unchanged. Config.Oblivious restores the paper's
+// content-oblivious schedule, which moves every reserved block every
+// time; it is kept as the pinned reference for the paper's constants.
 //
 // The package is part of the determinism contract checked by the
 // detorder analyzer (see DESIGN.md §11): identical inputs and
@@ -57,8 +65,10 @@ import (
 // copies (disk writes copy block contents; decode allocates fresh item
 // slices). The word images come from the pdm word free list and go back
 // to it (release) once the run's disk arrays are closed and every
-// in-flight transfer has drained. They are not zeroed: every image is
-// overwritten by a full encode or a full read before it is consumed.
+// in-flight transfer has drained. They are not zeroed: a transfer moves
+// only the blocks of an image that an encode has just filled (items, then
+// zeros to the end of its last block) or that a read has just landed, and
+// a decode reads only within those blocks.
 type superstepScratch struct {
 	ctxImg []pdm.Word     // cb·B words: context encode/decode image
 	flat   []pdm.Word     // flat inbox/outbox slot images
@@ -188,6 +198,14 @@ type Config struct {
 	// The memory bound is enforced against M: k in-flight working sets
 	// (context + message scratch) must fit, Lemma 1–2 style.
 	PipelineDepth int
+	// Oblivious selects the paper's content-oblivious transfer extents:
+	// every context swap moves the full reserved run of ⌈μ·w/B⌉ blocks and
+	// every message transfer the full slot of b′ blocks, whatever the
+	// program produced — the schedule whose constants Theorems 2 and 3
+	// state and the committed figures reproduce. The zero value moves only
+	// each image's live prefix (see the package doc): the same addresses
+	// and the same packing rule, never more parallel I/Os per transfer.
+	Oblivious bool
 	// CacheContexts keeps virtual-processor contexts resident in the real
 	// processor's memory when P = V (one context per processor, M = Θ(μ)),
 	// eliminating the context-swap I/O entirely — the machine then pays
@@ -287,13 +305,17 @@ func (c Config) ValidateFor(n int) error {
 	// per item as the lower bound, k windows of (context run + v message
 	// slots) must fit in M. The drivers re-check with the real item width;
 	// this catches a hopeless fixed k before any disk is allocated.
+	// The live-length tables are charged too, at the smaller of the two
+	// machines' sizes (RunSeq runs any config with P = 1), so the check
+	// never rejects what a driver accepts.
 	if c.M > 0 && c.Pipeline == PipelineOn && c.PipelineDepth > 0 &&
 		c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
 		cb := pdm.BlocksFor(ctxWords(c.MaxCtxItems, 1), c.B)
 		bpm := pdm.BlocksFor(slotWords(c.MaxMsgItems, 1), c.B)
-		if need := c.PipelineDepth * (cb + c.V*bpm) * c.B; need > c.M {
-			return fmt.Errorf("core: PipelineDepth = %d needs ≥ %d words of internal memory (k windows of one context run + %d message slots at ≥ 1 word/item), but M = %d; lower the depth or raise M",
-				c.PipelineDepth, need, c.V, c.M)
+		tables := min(lengthTableWords(c.V, c.V, false), lengthTableWords(c.V, c.V/c.P, true))
+		if need := c.PipelineDepth*(cb+c.V*bpm)*c.B + tables; need > c.M {
+			return fmt.Errorf("core: PipelineDepth = %d needs ≥ %d words of internal memory (k windows of one context run + %d message slots at ≥ 1 word/item, plus %d words of length tables), but M = %d; lower the depth or raise M",
+				c.PipelineDepth, need, c.V, tables, c.M)
 		}
 	}
 	return nil
@@ -470,23 +492,109 @@ func slotWords(maxMsg, itemWords int) int { return 1 + maxMsg*itemWords }
 // emcgm:hotpath
 func ctxWords(maxCtx, itemWords int) int { return 1 + maxCtx*itemWords }
 
-// encodeCtxInto serialises state into the context image img (header +
-// items + zero padding), overwriting every word. The image is caller-owned
+// lengthTableWords is the internal memory the live-length tables take, in
+// words: one entry per local virtual processor's context, plus one per
+// physical message slot — the sequential machine's v×v matrix, or the
+// parallel machine's two localV×v rectangles.
+func lengthTableWords(v, localV int, par bool) int {
+	if par {
+		return localV + 2*localV*v
+	}
+	return v + v*v
+}
+
+// geometry is one run's resolved disk geometry: the item width, the
+// context and message bounds, the reserved run each implies, and the
+// extent rule deciding how much of a reserved run a transfer moves.
+type geometry struct {
+	b, iw          int  // block size and item width, in words
+	maxCtx, maxMsg int  // μ and the message slot bound, in items
+	cb, bpm        int  // reserved blocks per context run and message slot (b′)
+	oblivious      bool // Config.Oblivious: every transfer moves its reserved run
+}
+
+// newGeometry resolves the geometry of a run of prog over inputs.
+func newGeometry[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T) geometry {
+	n := 0
+	for _, in := range inputs {
+		n += len(in)
+	}
+	g := geometry{b: cfg.B, iw: codec.Words(), oblivious: cfg.Oblivious}
+	g.maxCtx, g.maxMsg = limits(prog, cfg, n)
+	g.cb = pdm.BlocksFor(ctxWords(g.maxCtx, g.iw), cfg.B)
+	g.bpm = pdm.BlocksFor(slotWords(g.maxMsg, g.iw), cfg.B)
+	return g
+}
+
+// extent is the block-count rule of every transfer: how many leading
+// blocks of a reserved run of the given size an image of n items
+// occupies. Under the content-oblivious schedule that is the whole run;
+// otherwise it is ⌈(1+n·w)/B⌉ — the count header and the items. Callers
+// check n against the run's bound first, so the result never exceeds
+// reserved.
+// emcgm:hotpath
+func (g geometry) extent(n, reserved int) int {
+	if g.oblivious {
+		return reserved
+	}
+	return pdm.BlocksFor(1+n*g.iw, g.b)
+}
+
+// msgExtent is extent for a message slot, where an empty message moves
+// no block at all: the slot's length-table entry already says it is
+// empty, so not even the header needs to travel.
+// emcgm:hotpath
+func (g geometry) msgExtent(n int) int {
+	if n == 0 && !g.oblivious {
+		return 0
+	}
+	return g.extent(n, g.bpm)
+}
+
+// encodeCtxInto checks state against μ, serialises it into the context
+// image img (count header + items) and zeroes the rest of the last block
+// the transfer moves, returning that block count. The bound is checked
+// before any extent is computed, so an oversize context fails with the μ
+// error before any block is addressed. The image is caller-owned
 // scratch: reusing it across supersteps is what keeps the hot path
 // allocation-free.
 // emcgm:hotpath
-func encodeCtxInto[T any](codec wordcodec.Codec[T], state []T, maxCtx int, img []pdm.Word) error {
-	if len(state) > maxCtx {
-		return fmt.Errorf("core: context of %d items exceeds the declared bound μ = %d items; set Config.MaxCtxItems or implement cgm.ContextSizer", len(state), maxCtx)
+func encodeCtxInto[T any](codec wordcodec.Codec[T], g geometry, state []T, img []pdm.Word) (int, error) {
+	if len(state) > g.maxCtx {
+		return 0, fmt.Errorf("core: context of %d items exceeds the declared bound μ = %d items; set Config.MaxCtxItems or implement cgm.ContextSizer", len(state), g.maxCtx)
 	}
-	img[0] = pdm.Word(len(state))
-	end := 1 + len(state)*codec.Words()
-	wordcodec.EncodeInto(codec, img[1:end], state)
-	clear(img[end:])
-	return nil
+	nb := g.extent(len(state), g.cb)
+	encodeImage(codec, state, img[:nb*g.b])
+	return nb, nil
 }
 
-// decodeCtx deserialises a context image.
+// encodeMsgInto is encodeCtxInto for one message and its slot image img
+// (b′ blocks). An empty message under the live schedule encodes nothing
+// and returns 0 blocks.
+// emcgm:hotpath
+func encodeMsgInto[T any](codec wordcodec.Codec[T], g geometry, msg []T, img []pdm.Word) (int, error) {
+	if len(msg) > g.maxMsg {
+		return 0, fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), g.maxMsg)
+	}
+	nb := g.msgExtent(len(msg))
+	if nb > 0 {
+		encodeImage(codec, msg, img[:nb*g.b])
+	}
+	return nb, nil
+}
+
+// encodeImage writes the count header and the items into img and zeroes
+// every word after them, so the blocks a transfer moves never carry
+// stale scratch contents.
+// emcgm:hotpath
+func encodeImage[T any](codec wordcodec.Codec[T], items []T, img []pdm.Word) {
+	img[0] = pdm.Word(len(items))
+	end := 1 + len(items)*codec.Words()
+	wordcodec.EncodeInto(codec, img[1:end], items)
+	clear(img[end:])
+}
+
+// decodeCtx deserialises a context image: the blocks its transfer moved.
 func decodeCtx[T any](codec wordcodec.Codec[T], img []pdm.Word) ([]T, error) {
 	n := int(img[0])
 	iw := codec.Words()
@@ -496,22 +604,12 @@ func decodeCtx[T any](codec wordcodec.Codec[T], img []pdm.Word) ([]T, error) {
 	return wordcodec.DecodeSlice(codec, make([]T, 0, n), img[1:], n), nil
 }
 
-// encodeMsgInto serialises one message into the slot image img,
-// overwriting every word. Like encodeCtxInto, img is caller-owned scratch.
-// emcgm:hotpath
-func encodeMsgInto[T any](codec wordcodec.Codec[T], msg []T, maxMsg int, img []pdm.Word) error {
-	if len(msg) > maxMsg {
-		return fmt.Errorf("core: message of %d items exceeds the slot bound %d items; set Config.MaxMsgItems (or Balanced) accordingly", len(msg), maxMsg)
-	}
-	img[0] = pdm.Word(len(msg))
-	end := 1 + len(msg)*codec.Words()
-	wordcodec.EncodeInto(codec, img[1:end], msg)
-	clear(img[end:])
-	return nil
-}
-
-// decodeMsg deserialises one message slot.
+// decodeMsg deserialises one message slot image: the blocks its transfer
+// moved, none for an empty message.
 func decodeMsg[T any](codec wordcodec.Codec[T], img []pdm.Word) ([]T, error) {
+	if len(img) == 0 {
+		return nil, nil
+	}
 	n := int(img[0])
 	iw := codec.Words()
 	if n < 0 || 1+n*iw > len(img) {
@@ -559,15 +657,15 @@ func RunPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 // span) against the Theorem 2/3 prediction for the machine's geometry,
 // plus the Result totals for reconciliation. All four drivers call it
 // once at their success return; a nil Ledger costs one comparison.
-func ledgerAdd[T any](cfg Config, par bool, cb, bpm int, cacheCtx bool, base int, res *Result[T]) {
+func ledgerAdd[T any](cfg Config, par bool, g geometry, cacheCtx bool, base int, res *Result[T]) {
 	if cfg.Ledger == nil || cfg.Recorder == nil {
 		return
 	}
 	cfg.Ledger.AddRun(
 		costmodel.Machine{
 			Par: par, V: cfg.V, P: cfg.P, D: cfg.D, B: cfg.B,
-			CB: cb, BPM: bpm, Rounds: res.Rounds, CacheCtx: cacheCtx,
-			Depth: res.Depth,
+			CB: g.cb, BPM: g.bpm, Rounds: res.Rounds, CacheCtx: cacheCtx,
+			Depth: res.Depth, Oblivious: g.oblivious,
 		},
 		cfg.Recorder.StepsSince(base),
 		costmodel.RunTotals{

@@ -44,10 +44,11 @@ const (
 
 // pipeDepth resolves the configured depth for a driver whose ring cannot
 // usefully exceed vCap slots and whose per-slot working set is slotWords
-// words (one context run + one full message image). It returns the
+// words (one context run + one full message image), beside tableWords
+// words of live-length tables that every depth needs. It returns the
 // initial ring depth and the cap the online adaptation may grow it to
 // (maxK == k for fixed depths).
-func pipeDepth(cfg Config, vCap, slotWords int) (k, maxK int, err error) {
+func pipeDepth(cfg Config, vCap, slotWords, tableWords int) (k, maxK int, err error) {
 	fixed := cfg.PipelineDepth > 0
 	if fixed {
 		k = cfg.PipelineDepth
@@ -66,13 +67,13 @@ func pipeDepth(cfg Config, vCap, slotWords int) (k, maxK int, err error) {
 	}
 	fit := maxPipelineDepth
 	if cfg.M > 0 && slotWords > 0 {
-		fit = cfg.M / slotWords
+		fit = (cfg.M - tableWords) / slotWords
 		if fit < 1 {
-			return 0, 0, fmt.Errorf("core: one pipelined working set of %d words exceeds M = %d; shrink the context/message bounds or raise M", slotWords, cfg.M)
+			return 0, 0, fmt.Errorf("core: one pipelined working set of %d words plus %d words of length tables exceeds M = %d; shrink the context/message bounds or raise M", slotWords, tableWords, cfg.M)
 		}
 		if fixed && k > fit {
-			return 0, 0, fmt.Errorf("core: PipelineDepth = %d needs %d words (k working sets of %d), but M = %d fits only %d; lower the depth, raise M, or use PipelineDepth: 0 (auto clamps)",
-				k, k*slotWords, slotWords, cfg.M, fit)
+			return 0, 0, fmt.Errorf("core: PipelineDepth = %d needs %d words (k working sets of %d plus %d words of length tables), but M = %d fits only %d; lower the depth, raise M, or use PipelineDepth: 0 (auto clamps)",
+				k, k*slotWords+tableWords, slotWords, tableWords, cfg.M, fit)
 		}
 		if k > fit {
 			k = fit

@@ -53,19 +53,20 @@ func TestParDiskFaultSurfaces(t *testing.T) {
 
 	// Proc 0 never faulted: each of its local contexts must decode
 	// cleanly and hold exactly its original partition (rotate does not
-	// mutate state in round 0, the round the fault interrupts).
+	// mutate state in round 0, the round the fault interrupts). Only the
+	// context's live extent was ever written, so that is what is read.
 	arr, err := pdm.NewDiskArray(disks[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	codec := wordcodec.I64{}
-	cw := ctxWords(maxCtx, codec.Words())
-	cb := pdm.BlocksFor(cw, b)
-	img := make([]pdm.Word, cb*b)
+	g := geometry{b: b, iw: codec.Words(), maxCtx: maxCtx}
+	g.cb = pdm.BlocksFor(ctxWords(maxCtx, g.iw), b)
 	var scr layout.Scratch
 	for l := 0; l < localV; l++ {
 		j := 0*localV + l
-		if err := layout.ReadStripedScratch(arr, 0, l*cb, img, &scr); err != nil {
+		img := make([]pdm.Word, g.extent(len(parts[j]), g.cb)*b)
+		if err := layout.ReadStripedScratch(arr, 0, l*g.cb, img, &scr); err != nil {
 			t.Fatalf("vp %d: read context: %v", j, err)
 		}
 		state, err := decodeCtx[int64](codec, img)

@@ -58,30 +58,31 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		return nil, fmt.Errorf("core: %d input partitions for V = %d", len(inputs), v)
 	}
 	localV := v / p
-	n := 0
-	for _, in := range inputs {
-		n += len(in)
-	}
-	iw := codec.Words()
-	maxCtx, maxMsg := limits(prog, cfg, n)
-	cw := ctxWords(maxCtx, iw)
-	sw := slotWords(maxMsg, iw)
-	cb := pdm.BlocksFor(cw, cfg.B)
-	bpm := pdm.BlocksFor(sw, cfg.B)
+	g := newGeometry(prog, codec, cfg, inputs)
+	cb, bpm := g.cb, g.bpm
 	ctxTracks := (localV*cb+cfg.D-1)/cfg.D + 1
 
 	if cfg.M > 0 {
-		need := cb*cfg.B + v*bpm*cfg.B
+		need := cb*cfg.B + v*bpm*cfg.B + lengthTableWords(v, localV, true)
 		if need > cfg.M {
 			return nil, fmt.Errorf("core: superstep working set %d words exceeds M = %d", need, cfg.M)
 		}
 	}
 
-	// Per-processor state.
+	// Per-processor state, including the live-length tables of the
+	// processor's disks: ctxLen[i][l] for local VP l's context run, and
+	// slotLen[i][parity] per physical slot of that parity's rectangle. A
+	// processor's route phase fills the opposite parity's table from the
+	// batches it lands, and its next round's inbox reads consult it, so the
+	// lengths travel with the batches at no extra communication.
 	arrays := make([]*pdm.DiskArray, p)
 	matrices := make([][2]layout.Rect, p)
 	scrs := make([]*procScratch[T], p)
+	ctxLen := make([][]int, p)
+	slotLen := make([][2][]int, p)
 	for i := 0; i < p; i++ {
+		ctxLen[i] = make([]int, localV)
+		slotLen[i] = [2][]int{make([]int, localV*v), make([]int, localV*v)}
 		a, err := cfg.newArray(i, 0)
 		if err != nil {
 			return nil, err
@@ -131,18 +132,21 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 
 	writeCtx := func(proc, l int, state []T) error {
 		scr := scrs[proc]
-		if err := encodeCtxInto(codec, state, maxCtx, scr.ctxImg); err != nil {
+		nb, err := encodeCtxInto(codec, g, state, scr.ctxImg)
+		if err != nil {
 			return err
 		}
-		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg, cfg.B)
+		ctxLen[proc][l] = nb
+		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg[:nb*cfg.B], cfg.B)
 		return layout.WriteStripedScratch(arrays[proc], 0, l*cb, scr.bufs, &scr.lay)
 	}
 	readCtx := func(proc, l int) ([]T, error) {
 		scr := scrs[proc]
-		if err := layout.ReadStripedScratch(arrays[proc], 0, l*cb, scr.ctxImg, &scr.lay); err != nil {
+		img := scr.ctxImg[:ctxLen[proc][l]*cfg.B]
+		if err := layout.ReadStripedScratch(arrays[proc], 0, l*cb, img, &scr.lay); err != nil {
 			return nil, err
 		}
-		return decodeCtx(codec, scr.ctxImg)
+		return decodeCtx(codec, img)
 	}
 
 	res := &Result[T]{Outputs: make([][]T, v)}
@@ -157,9 +161,9 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			res.MaxCtxObserved = len(vp.State)
 		}
 		if cacheCtx {
-			if len(vp.State) > maxCtx {
+			if len(vp.State) > g.maxCtx {
 				initSpan.End()
-				return nil, fmt.Errorf("core: context of %d items exceeds μ = %d", len(vp.State), maxCtx)
+				return nil, fmt.Errorf("core: context of %d items exceeds μ = %d", len(vp.State), g.maxCtx)
 			}
 			cached[owner(j)] = vp.State
 			continue
@@ -239,6 +243,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		arr := arrays[i]
 		scr := scrs[i]
 		readM := matrices[i][round%2]
+		readLen := slotLen[i][round%2]
 		writeParity := (round + 1) % 2
 		ctxOps, msgOps := int64(0), int64(0)
 		last := prevOps[i]
@@ -281,8 +286,12 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			inbox := make([][]T, v)
 			if round > 0 {
 				sp := rec.Begin(track, "inbox read", "phase")
-				scr.reqs = readM.AppendRegionReqs(scr.reqs[:0], l)
-				scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.flat, cfg.B)
+				scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
+				for src := 0; src < v; src++ {
+					nb := readLen[readM.SlotIndex(l, src)]
+					scr.reqs = readM.AppendSlotPrefix(scr.reqs, l, src, nb)
+					scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
+				}
 				if _, err := layout.ReadFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
 					sp.End()
 					ss.End()
@@ -290,7 +299,8 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 					return out
 				}
 				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
+					nb := readLen[readM.SlotIndex(l, src)]
+					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
 					if err != nil {
 						sp.End()
 						ss.End()
@@ -355,10 +365,10 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				out.maxCtx = len(vp.State)
 			}
 			if cacheCtx {
-				if len(vp.State) > maxCtx {
+				if len(vp.State) > g.maxCtx {
 					ss.End()
 					out.err = fmt.Errorf("core: round %d vp %d: context of %d items exceeds μ = %d",
-						round, j, len(vp.State), maxCtx)
+						round, j, len(vp.State), g.maxCtx)
 					return out
 				}
 				cached[i] = vp.State
@@ -388,21 +398,24 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			rtMsg0, rtBlk0 = msgOps, arr.Stats().BlocksMoved
 		}
 		writeM := matrices[i][writeParity]
+		writeLen := slotLen[i][writeParity]
 		for got := 0; got < v; got++ {
 			b := <-chans[i]
 			if b.final {
 				continue
 			}
-			scr.reqs = scr.reqs[:0]
+			scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
 			for dl := 0; dl < localV; dl++ {
-				if err := encodeMsgInto(codec, b.msgs[dl], maxMsg, scr.flat[dl*bpm*cfg.B:(dl+1)*bpm*cfg.B]); err != nil {
+				nb, err := encodeMsgInto(codec, g, b.msgs[dl], scr.flat[dl*bpm*cfg.B:(dl+1)*bpm*cfg.B])
+				if err != nil {
 					rt.End()
 					out.err = fmt.Errorf("vp %d round %d → %d: %w", b.srcVP, round, i*localV+dl, err)
 					return out
 				}
-				scr.reqs = writeM.AppendSlotReqs(scr.reqs, dl, b.srcVP)
+				writeLen[writeM.SlotIndex(dl, b.srcVP)] = nb
+				scr.reqs = writeM.AppendSlotPrefix(scr.reqs, dl, b.srcVP, nb)
+				scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[dl*bpm*cfg.B:(dl*bpm+nb)*cfg.B], cfg.B)
 			}
-			scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.flat[:localV*bpm*cfg.B], cfg.B)
 			if _, err := layout.WriteFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
 				rt.End()
 				out.err = fmt.Errorf("core: round %d proc %d: write batch from vp %d: %w", round, i, b.srcVP, err)
@@ -497,6 +510,6 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}
 	}
 	res.Supersteps = res.Rounds * localV
-	ledgerAdd(cfg, true, cb, bpm, cacheCtx, ledBase, res)
+	ledgerAdd(cfg, true, g, cacheCtx, ledBase, res)
 	return res, nil
 }

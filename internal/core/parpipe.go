@@ -49,40 +49,37 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		return nil, fmt.Errorf("core: %d input partitions for V = %d", len(inputs), v)
 	}
 	localV := v / p
-	n := 0
-	for _, in := range inputs {
-		n += len(in)
-	}
-	iw := codec.Words()
-	maxCtx, maxMsg := limits(prog, cfg, n)
-	cw := ctxWords(maxCtx, iw)
-	sw := slotWords(maxMsg, iw)
-	cb := pdm.BlocksFor(cw, cfg.B)
-	bpm := pdm.BlocksFor(sw, cfg.B)
+	g := newGeometry(prog, codec, cfg, inputs)
+	cb, bpm := g.cb, g.bpm
 	ctxTracks := (localV*cb+cfg.D-1)/cfg.D + 1
 
 	// Ring depth per processor: capped at v (the route phase cycles up
 	// to v batches through the ring even when localV is small), bounded
-	// by M against k working sets. The VP loop uses only slots below
-	// localV; the slots past them only ever hold one route batch of
-	// localV·bpm blocks, so they are sized to that.
+	// by M against k working sets beside the live-length tables. The VP
+	// loop uses only slots below localV; the slots past them only ever
+	// hold one route batch of localV·bpm blocks, so they are sized to that.
 	slotBlocks := cb + v*bpm
-	k, maxK, err := pipeDepth(cfg, v, slotBlocks*cfg.B)
+	k, maxK, err := pipeDepth(cfg, v, slotBlocks*cfg.B, lengthTableWords(v, localV, true))
 	if err != nil {
 		return nil, err
 	}
 	shape := ringShape{full: localV, cb: cb, flatBlocks: v * bpm, routeBlocks: localV * bpm, b: cfg.B}
 
 	// Per-processor state. Each processor's split-phase trackers (pends,
-	// routePends) are owned by its goroutine for the round's duration;
-	// rounds are sequenced by the barrier, so reuse — and the
-	// between-round ring growth below — is race-free.
+	// routePends) and live-length tables (ctxLen, slotLen; see runPar) are
+	// owned by its goroutine for the round's duration; rounds are
+	// sequenced by the barrier, so reuse — and the between-round ring
+	// growth below — is race-free.
 	arrays := make([]*pdm.DiskArray, p)
 	matrices := make([][2]layout.Rect, p)
 	scrs := make([]*pipeProcScratch[T], p)
 	pends := make([][]vpInflight, p)
 	routePends := make([][]pdm.PendingSet, p)
+	ctxLen := make([][]int, p)
+	slotLen := make([][2][]int, p)
 	for i := 0; i < p; i++ {
+		ctxLen[i] = make([]int, localV)
+		slotLen[i] = [2][]int{make([]int, localV*v), make([]int, localV*v)}
 		a, err := cfg.newArray(i, shape.queueHint(maxK, cfg.D))
 		if err != nil {
 			return nil, err
@@ -147,20 +144,22 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			res.MaxCtxObserved = len(vp.State)
 		}
 		if cacheCtx {
-			if len(vp.State) > maxCtx {
+			if len(vp.State) > g.maxCtx {
 				initSpan.End()
-				return nil, fmt.Errorf("core: context of %d items exceeds μ = %d", len(vp.State), maxCtx)
+				return nil, fmt.Errorf("core: context of %d items exceeds μ = %d", len(vp.State), g.maxCtx)
 			}
 			cached[owner(j)] = vp.State
 			continue
 		}
 		i, l := owner(j), localIdx(j)
 		scr := scrs[i].img[0]
-		if err := encodeCtxInto(codec, vp.State, maxCtx, scr.ctxImg); err != nil {
+		nb, err := encodeCtxInto(codec, g, vp.State, scr.ctxImg)
+		if err != nil {
 			initSpan.End()
 			return nil, err
 		}
-		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg, cfg.B)
+		ctxLen[i][l] = nb
+		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg[:nb*cfg.B], cfg.B)
 		if err := layout.WriteStripedScratch(arrays[i], 0, l*cb, scr.bufs, &scr.lay); err != nil {
 			initSpan.End()
 			return nil, err
@@ -245,6 +244,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		K := len(scr.img)
 		pf := K / 2
 		readM := matrices[i][round%2]
+		readLen := slotLen[i][round%2]
 		writeParity := (round + 1) % 2
 		stallName := "stall"
 		if rec != nil {
@@ -292,15 +292,19 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			s := scr.img[l%K]
 			pf := rec.Begin(track, "prefetch", "prefetch")
 			if !cacheCtx {
-				if err := layout.BeginReadStripedScratch(arr, 0, l*cb, s.ctxImg, &s.lay, &sl.reads); err != nil {
+				if err := layout.BeginReadStripedScratch(arr, 0, l*cb, s.ctxImg[:ctxLen[i][l]*cfg.B], &s.lay, &sl.reads); err != nil {
 					pf.End()
 					return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, i*localV+l, err)
 				}
 				bank(sl, true)
 			}
 			if round > 0 {
-				s.reqs = readM.AppendRegionReqs(s.reqs[:0], l)
-				s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat, cfg.B)
+				s.reqs, s.bufs = s.reqs[:0], s.bufs[:0]
+				for src := 0; src < v; src++ {
+					nb := readLen[readM.SlotIndex(l, src)]
+					s.reqs = readM.AppendSlotPrefix(s.reqs, l, src, nb)
+					s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
+				}
 				if _, err := layout.BeginReadFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
 					pf.End()
 					return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, i*localV+l, err)
@@ -357,7 +361,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				state = cached[i]
 			} else {
 				var err error
-				state, err = decodeCtx(codec, s.ctxImg)
+				state, err = decodeCtx(codec, s.ctxImg[:ctxLen[i][l]*cfg.B])
 				if err != nil {
 					ss.End()
 					drain()
@@ -368,7 +372,8 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			inbox := make([][]T, v)
 			if round > 0 {
 				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
+					nb := readLen[readM.SlotIndex(l, src)]
+					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
 					if err != nil {
 						ss.End()
 						drain()
@@ -451,24 +456,26 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				out.maxCtx = len(vp.State)
 			}
 			if cacheCtx {
-				if len(vp.State) > maxCtx {
+				if len(vp.State) > g.maxCtx {
 					ss.End()
 					drain()
 					out.err = fmt.Errorf("core: round %d vp %d: context of %d items exceeds μ = %d",
-						round, j, len(vp.State), maxCtx)
+						round, j, len(vp.State), g.maxCtx)
 					return out
 				}
 				cached[i] = vp.State
 			} else {
 				wp := rec.Begin(track, "ctx write", "writeback")
-				if err := encodeCtxInto(codec, vp.State, maxCtx, s.ctxImg); err != nil {
+				nb, err := encodeCtxInto(codec, g, vp.State, s.ctxImg)
+				if err != nil {
 					wp.End()
 					ss.End()
 					drain()
 					out.err = fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
 					return out
 				}
-				s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg, cfg.B)
+				ctxLen[i][l] = nb
+				s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*cfg.B], cfg.B)
 				if err := layout.BeginWriteStripedScratch(arr, 0, l*cb, s.bufs, &s.lay, &sl.writes); err != nil {
 					wp.End()
 					ss.End()
@@ -505,6 +512,7 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		// loop gives the coalescing workers, now on the write side.
 		rt := rec.Begin(track, "route batches", "route")
 		writeM := matrices[i][writeParity]
+		writeLen := slotLen[i][writeParity]
 		var rtOps, rtBlocks int64
 		nb := 0
 		for got := 0; got < v; got++ {
@@ -519,17 +527,19 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				out.err = fmt.Errorf("core: round %d proc %d: write batch: %w", round, i, err)
 				return out
 			}
-			s.reqs = s.reqs[:0]
+			s.reqs, s.bufs = s.reqs[:0], s.bufs[:0]
 			for dl := 0; dl < localV; dl++ {
-				if err := encodeMsgInto(codec, b.msgs[dl], maxMsg, s.flat[dl*bpm*cfg.B:(dl+1)*bpm*cfg.B]); err != nil {
+				nb, err := encodeMsgInto(codec, g, b.msgs[dl], s.flat[dl*bpm*cfg.B:(dl+1)*bpm*cfg.B])
+				if err != nil {
 					rt.End()
 					drain()
 					out.err = fmt.Errorf("vp %d round %d → %d: %w", b.srcVP, round, i*localV+dl, err)
 					return out
 				}
-				s.reqs = writeM.AppendSlotReqs(s.reqs, dl, b.srcVP)
+				writeLen[writeM.SlotIndex(dl, b.srcVP)] = nb
+				s.reqs = writeM.AppendSlotPrefix(s.reqs, dl, b.srcVP, nb)
+				s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[dl*bpm*cfg.B:(dl*bpm+nb)*cfg.B], cfg.B)
 			}
-			s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat[:localV*bpm*cfg.B], cfg.B)
 			if _, err := layout.BeginWriteFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &routePend[nb%K]); err != nil {
 				rt.End()
 				drain()
@@ -679,6 +689,6 @@ func runParPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		}
 	}
 	res.Supersteps = res.Rounds * localV
-	ledgerAdd(cfg, true, cb, bpm, cacheCtx, ledBase, res)
+	ledgerAdd(cfg, true, g, cacheCtx, ledBase, res)
 	return res, nil
 }

@@ -158,7 +158,7 @@ func sameRun(want, got recycleRun) error {
 // then run over seq/par × depth {1, 2, auto} × {Mem, File}. Outputs must
 // equal the in-memory runtime's, and outputs, I/O accounting and every
 // written MemDisk track (padding included) must be bit-identical to a run
-// on a free list emptied by garbage collection, where every buffer is a
+// on an emptied free list (pdm.DropFreeWords), where every buffer is a
 // fresh zeroed make.
 func TestRecycledScratchPoisoned(t *testing.T) {
 	defer pdm.SetWordPoison(pdm.SetWordPoison(false))
@@ -201,8 +201,7 @@ func TestRecycledScratchPoisoned(t *testing.T) {
 				}
 
 				pdm.SetWordPoison(false)
-				runtime.GC() // two cycles empty every sync.Pool, victim cache included
-				runtime.GC()
+				pdm.DropFreeWords() // the next run allocates every buffer fresh
 				fresh := runRecycle(t, prog, cfg, m.par, dir(), parts)
 				for j := range ref.Outputs {
 					if !slices.Equal(fresh.res.Outputs[j], ref.Outputs[j]) {

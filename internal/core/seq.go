@@ -34,23 +34,16 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 	if len(inputs) != v {
 		return nil, fmt.Errorf("core: %d input partitions for V = %d", len(inputs), v)
 	}
-	n := 0
-	for _, in := range inputs {
-		n += len(in)
-	}
-	iw := codec.Words()
-	maxCtx, maxMsg := limits(prog, cfg, n)
-	cw := ctxWords(maxCtx, iw)
-	sw := slotWords(maxMsg, iw)
-	cb := pdm.BlocksFor(cw, cfg.B)  // blocks per context
-	bpm := pdm.BlocksFor(sw, cfg.B) // blocks per message slot (b′)
+	g := newGeometry(prog, codec, cfg, inputs)
+	cb, bpm := g.cb, g.bpm // blocks per context, per message slot (b′)
 	ctxTracks := (v*cb+cfg.D-1)/cfg.D + 1
 
 	if cfg.M > 0 {
-		need := cb*cfg.B + v*bpm*cfg.B // one context + one full inbox
+		// One context + one full inbox, plus the live-length tables.
+		need := cb*cfg.B + v*bpm*cfg.B + lengthTableWords(v, v, false)
 		if need > cfg.M {
 			return nil, fmt.Errorf("core: superstep working set %d words exceeds M = %d (μ=%d items, slot=%d items × V=%d)",
-				need, cfg.M, maxCtx, maxMsg, v)
+				need, cfg.M, g.maxCtx, g.maxMsg, v)
 		}
 	}
 
@@ -77,21 +70,30 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 
 	res := &Result[T]{Outputs: make([][]T, v)}
 
+	// Live-length tables: the blocks each context run and each physical
+	// message slot currently holds. Slots are keyed by (region, slot), so
+	// Observation 2's alternation needs no bookkeeping of its own.
+	ctxLen := make([]int, v)
+	slotLen := make([]int, v*v)
+
 	writeCtx := func(j int, state []T) error {
-		if err := encodeCtxInto(codec, state, maxCtx, scr.ctxImg); err != nil {
+		nb, err := encodeCtxInto(codec, g, state, scr.ctxImg)
+		if err != nil {
 			return fmt.Errorf("vp %d: %w", j, err)
 		}
 		if len(state) > res.MaxCtxObserved {
 			res.MaxCtxObserved = len(state)
 		}
-		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg, cfg.B)
+		ctxLen[j] = nb
+		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg[:nb*cfg.B], cfg.B)
 		return layout.WriteStripedScratch(arr, 0, j*cb, scr.bufs, &scr.lay)
 	}
 	readCtx := func(j int) ([]T, error) {
-		if err := layout.ReadStripedScratch(arr, 0, j*cb, scr.ctxImg, &scr.lay); err != nil {
+		img := scr.ctxImg[:ctxLen[j]*cfg.B]
+		if err := layout.ReadStripedScratch(arr, 0, j*cb, img, &scr.lay); err != nil {
 			return nil, err
 		}
-		return decodeCtx(codec, scr.ctxImg)
+		return decodeCtx(codec, img)
 	}
 
 	// Input distribution: initialise and write every context.
@@ -157,15 +159,22 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			inbox := make([][]T, v)
 			if round > 0 {
 				sp = rec.Begin(track, "inbox read", "phase")
-				scr.reqs = matrix.AppendInboxReqs(scr.reqs[:0], round, j)
-				scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.flat, cfg.B)
+				scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
+				for src := 0; src < v; src++ {
+					r, a := matrix.Place(round, src, j)
+					nb := slotLen[matrix.SlotIndex(r, a)]
+					scr.reqs = matrix.AppendSlotPrefix(scr.reqs, r, a, nb)
+					scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
+				}
 				if _, err := layout.ReadFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
 					sp.End()
 					ss.End()
 					return nil, fmt.Errorf("core: round %d vp %d: read inbox: %w", round, j, err)
 				}
 				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
+					r, a := matrix.Place(round, src, j)
+					nb := slotLen[matrix.SlotIndex(r, a)]
+					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
 					if err != nil {
 						sp.End()
 						ss.End()
@@ -198,23 +207,28 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			// (d) Write the packets sent by virtual processor j (staggered).
 			if !done {
 				sp = rec.Begin(track, "outbox write", "phase")
-				scr.reqs = matrix.AppendOutboxReqs(scr.reqs[:0], round, j)
+				scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
 				for dst := 0; dst < v; dst++ {
 					var msg []T
 					if outbox != nil {
 						msg = outbox[dst]
 					}
-					if err := encodeMsgInto(codec, msg, maxMsg, scr.flat[dst*bpm*cfg.B:(dst+1)*bpm*cfg.B]); err != nil {
+					nb, err := encodeMsgInto(codec, g, msg, scr.flat[dst*bpm*cfg.B:(dst+1)*bpm*cfg.B])
+					if err != nil {
 						sp.End()
 						ss.End()
 						return nil, fmt.Errorf("vp %d round %d → %d: %w", j, round, dst, err)
 					}
+					// The slot is one VP j's inbox just vacated (Observation 2).
+					r, a := matrix.Place(round+1, j, dst)
+					slotLen[matrix.SlotIndex(r, a)] = nb
+					scr.reqs = matrix.AppendSlotPrefix(scr.reqs, r, a, nb)
+					scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[dst*bpm*cfg.B:(dst*bpm+nb)*cfg.B], cfg.B)
 					sentItems[j] += len(msg)
 					if len(msg) > res.MaxMsgObserved {
 						res.MaxMsgObserved = len(msg)
 					}
 				}
-				scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.flat, cfg.B)
 				if _, err := layout.WriteFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
 					sp.End()
 					ss.End()
@@ -266,6 +280,6 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}
 	}
 	res.Supersteps = res.Rounds * v // v compound supersteps per simulated round
-	ledgerAdd(cfg, false, cb, bpm, false, ledBase, res)
+	ledgerAdd(cfg, false, g, false, ledBase, res)
 	return res, nil
 }

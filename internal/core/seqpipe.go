@@ -61,22 +61,15 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 	if len(inputs) != v {
 		return nil, fmt.Errorf("core: %d input partitions for V = %d", len(inputs), v)
 	}
-	n := 0
-	for _, in := range inputs {
-		n += len(in)
-	}
-	iw := codec.Words()
-	maxCtx, maxMsg := limits(prog, cfg, n)
-	cw := ctxWords(maxCtx, iw)
-	sw := slotWords(maxMsg, iw)
-	cb := pdm.BlocksFor(cw, cfg.B)  // blocks per context
-	bpm := pdm.BlocksFor(sw, cfg.B) // blocks per message slot (b′)
+	g := newGeometry(prog, codec, cfg, inputs)
+	cb, bpm := g.cb, g.bpm // blocks per context, per message slot (b′)
 	ctxTracks := (v*cb+cfg.D-1)/cfg.D + 1
 
-	// The pipeline holds k superstep working sets at once; resolve the
-	// ring depth against the memory bound and the cost model.
+	// The pipeline holds k superstep working sets at once, beside the
+	// live-length tables; resolve the ring depth against the memory bound
+	// and the cost model.
 	slotBlocks := cb + v*bpm
-	k, maxK, err := pipeDepth(cfg, v, slotBlocks*cfg.B)
+	k, maxK, err := pipeDepth(cfg, v, slotBlocks*cfg.B, lengthTableWords(v, v, false))
 	if err != nil {
 		return nil, err
 	}
@@ -110,6 +103,13 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 
 	res := &Result[T]{Outputs: make([][]T, v)}
 
+	// Live-length tables, as in runSeq. A table entry is read when its
+	// transfer begins and rewritten only by the VP whose inbox the slot
+	// belongs to, after that VP has decoded it — the same address
+	// disjointness that lets the window hoist reads above writes.
+	ctxLen := make([]int, v)
+	slotLen := make([]int, v*v)
+
 	// drain waits out every in-flight operation before an error return:
 	// no handle leaks, no worker left holding a buffer reference. The
 	// drained errors are deliberately dropped — the caller's error is the
@@ -129,14 +129,16 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		vp := &cgm.VP[T]{ID: j, V: v}
 		prog.Init(vp, inputs[j])
 		s := scr[0]
-		if err := encodeCtxInto(codec, vp.State, maxCtx, s.ctxImg); err != nil {
+		nb, err := encodeCtxInto(codec, g, vp.State, s.ctxImg)
+		if err != nil {
 			initSpan.End()
 			return nil, fmt.Errorf("vp %d: %w", j, err)
 		}
 		if len(vp.State) > res.MaxCtxObserved {
 			res.MaxCtxObserved = len(vp.State)
 		}
-		s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg, cfg.B)
+		ctxLen[j] = nb
+		s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*cfg.B], cfg.B)
 		if err := layout.WriteStripedScratch(arr, 0, j*cb, s.bufs, &s.lay); err != nil {
 			initSpan.End()
 			return nil, err
@@ -169,14 +171,19 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		sl := &pend[j%len(scr)]
 		s := scr[j%len(scr)]
 		pf := rec.Begin(track, "prefetch", "prefetch")
-		if err := layout.BeginReadStripedScratch(arr, 0, j*cb, s.ctxImg, &s.lay, &sl.reads); err != nil {
+		if err := layout.BeginReadStripedScratch(arr, 0, j*cb, s.ctxImg[:ctxLen[j]*cfg.B], &s.lay, &sl.reads); err != nil {
 			pf.End()
 			return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, j, err)
 		}
 		bank(sl, true)
 		if round > 0 {
-			s.reqs = matrix.AppendInboxReqs(s.reqs[:0], round, j)
-			s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat, cfg.B)
+			s.reqs, s.bufs = s.reqs[:0], s.bufs[:0]
+			for src := 0; src < v; src++ {
+				r, a := matrix.Place(round, src, j)
+				nb := slotLen[matrix.SlotIndex(r, a)]
+				s.reqs = matrix.AppendSlotPrefix(s.reqs, r, a, nb)
+				s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
+			}
 			if _, err := layout.BeginReadFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
 				pf.End()
 				return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, j, err)
@@ -263,7 +270,7 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 				drain()
 				return nil, fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
 			}
-			state, err := decodeCtx(codec, s.ctxImg)
+			state, err := decodeCtx(codec, s.ctxImg[:ctxLen[j]*cfg.B])
 			if err != nil {
 				ss.End()
 				drain()
@@ -272,7 +279,9 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			inbox := make([][]T, v)
 			if round > 0 {
 				for src := 0; src < v; src++ {
-					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src+1)*bpm*cfg.B])
+					r, a := matrix.Place(round, src, j)
+					nb := slotLen[matrix.SlotIndex(r, a)]
+					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
 					if err != nil {
 						ss.End()
 						drain()
@@ -322,24 +331,32 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			// (d) Begin the outbox write (staggered) as write-behind.
 			if !done {
 				wb := rec.Begin(track, "outbox write", "writeback")
-				s.reqs = matrix.AppendOutboxReqs(s.reqs[:0], round, j)
+				s.reqs = s.reqs[:0]
+				// Start the views empty but over s.flat, so the write below
+				// loans s.flat — not s.bufs, which the context write-back
+				// reuses while this write is in flight.
+				s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat[:0], cfg.B)
 				for dst := 0; dst < v; dst++ {
 					var msg []T
 					if outbox != nil {
 						msg = outbox[dst]
 					}
-					if err := encodeMsgInto(codec, msg, maxMsg, s.flat[dst*bpm*cfg.B:(dst+1)*bpm*cfg.B]); err != nil {
+					nb, err := encodeMsgInto(codec, g, msg, s.flat[dst*bpm*cfg.B:(dst+1)*bpm*cfg.B])
+					if err != nil {
 						wb.End()
 						ss.End()
 						drain()
 						return nil, fmt.Errorf("vp %d round %d → %d: %w", j, round, dst, err)
 					}
+					r, a := matrix.Place(round+1, j, dst)
+					slotLen[matrix.SlotIndex(r, a)] = nb
+					s.reqs = matrix.AppendSlotPrefix(s.reqs, r, a, nb)
+					s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[dst*bpm*cfg.B:(dst*bpm+nb)*cfg.B], cfg.B)
 					sentItems[j] += len(msg)
 					if len(msg) > res.MaxMsgObserved {
 						res.MaxMsgObserved = len(msg)
 					}
 				}
-				s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat, cfg.B)
 				if _, err := layout.BeginWriteFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &sl.writes); err != nil {
 					wb.End()
 					ss.End()
@@ -354,7 +371,8 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 
 			// (e) Begin the context write-back (consecutive).
 			wb := rec.Begin(track, "ctx write", "writeback")
-			if err := encodeCtxInto(codec, vp.State, maxCtx, s.ctxImg); err != nil {
+			nb, err := encodeCtxInto(codec, g, vp.State, s.ctxImg)
+			if err != nil {
 				wb.End()
 				ss.End()
 				drain()
@@ -363,7 +381,8 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 			if len(vp.State) > res.MaxCtxObserved {
 				res.MaxCtxObserved = len(vp.State)
 			}
-			s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg, cfg.B)
+			ctxLen[j] = nb
+			s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*cfg.B], cfg.B)
 			if err := layout.BeginWriteStripedScratch(arr, 0, j*cb, s.bufs, &s.lay, &sl.writes); err != nil {
 				wb.End()
 				ss.End()
@@ -441,6 +460,6 @@ func runSeqPipelined[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg C
 		}
 	}
 	res.Supersteps = res.Rounds * v // v compound supersteps per simulated round
-	ledgerAdd(cfg, false, cb, bpm, false, ledBase, res)
+	ledgerAdd(cfg, false, g, false, ledBase, res)
 	return res, nil
 }

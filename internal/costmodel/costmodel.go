@@ -4,8 +4,12 @@
 // λ context swaps at ⌈c/(DB)⌉ striped operations each, plus the
 // message-matrix FIFO schedule replayed symbolically over the staggered
 // layout — and records it side-by-side with the measured obs span
-// (duration, CtxOps/MsgOps/Blocks) in a per-run Ledger. Predicted counts
-// must match measured counts bit-exactly (Reconcile enforces this); the
+// (duration, CtxOps/MsgOps/Blocks) in a per-run Ledger. The prediction is
+// the paper's content-oblivious schedule, which moves every reserved
+// block: under core.Config.Oblivious predicted counts must match measured
+// counts bit-exactly, and under the default live-extent schedule, which
+// moves only a prefix of each reserved run, measured counts must stay at
+// or below the prediction row by row (Reconcile enforces both); the
 // pdm.TimeModel then converts both into modelled time so measured wall
 // time has a closed-form prediction to drift against.
 //
@@ -42,6 +46,11 @@ type Machine struct {
 	// but the overlap model (ModelWallPipelined) prices the stall curve
 	// from it. Additive and omitempty, so LedgerVersion is unchanged.
 	Depth int `json:"depth,omitempty"`
+	// Oblivious records that the run used the content-oblivious transfer
+	// extents (core.Config.Oblivious), so its measured counts must equal
+	// the prediction exactly; a live-extent run's counts are bounded by
+	// it. Additive and omitempty, like Depth.
+	Oblivious bool `json:"oblivious,omitempty"`
 }
 
 // LocalV returns the number of virtual processors per real processor.

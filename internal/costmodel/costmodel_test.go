@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +22,8 @@ import (
 
 // runWorkload executes one named workload on the given machine axis and
 // returns the run's Result totals alongside the ledger that priced it.
-func runWorkload(t *testing.T, workloadName string, seq bool, pipeline core.PipelineMode, cacheCtx bool) (*costmodel.Ledger, int64) {
+// oblivious selects the content-oblivious transfer extents.
+func runWorkload(t *testing.T, workloadName string, seq bool, pipeline core.PipelineMode, cacheCtx, oblivious bool) (*costmodel.Ledger, int64) {
 	t.Helper()
 	const n = 1 << 12
 	v, p := 4, 2
@@ -31,7 +33,7 @@ func runWorkload(t *testing.T, workloadName string, seq bool, pipeline core.Pipe
 	rec := obs.NewRecorder()
 	led := costmodel.NewLedger(pdm.DefaultTimeModel())
 	cfg := core.Config{V: v, P: p, D: 2, B: 64, Pipeline: pipeline,
-		CacheContexts: cacheCtx, Recorder: rec, Ledger: led}
+		CacheContexts: cacheCtx, Oblivious: oblivious, Recorder: rec, Ledger: led}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -95,31 +97,59 @@ func runWorkload(t *testing.T, workloadName string, seq bool, pipeline core.Pipe
 	return led, ops
 }
 
+// checkLedger is the reconciliation contract for one recorded run: under
+// the content-oblivious extents the Theorem 2/3 prediction matches the
+// measured parallel I/Os bit-exactly, row by row and in total; under the
+// live extents it bounds them row by row, and the workloads here — whose
+// messages fill a fraction of their reserved slots — stay strictly below
+// it in total.
+func checkLedger(t *testing.T, led *costmodel.Ledger, ops int64, oblivious bool) costmodel.Run {
+	t.Helper()
+	runs := led.Runs()
+	if len(runs) != 1 {
+		t.Fatalf("ledger recorded %d runs, want 1", len(runs))
+	}
+	if err := led.Reconcile(); err != nil {
+		t.Fatalf("reconcile: %v", err)
+	}
+	run := runs[0]
+	if run.Machine.Oblivious != oblivious {
+		t.Fatalf("ledger machine Oblivious = %v, want %v", run.Machine.Oblivious, oblivious)
+	}
+	if oblivious && run.PredOps != ops {
+		t.Fatalf("predicted %d parallel I/Os, measured %d", run.PredOps, ops)
+	}
+	if !oblivious && ops >= run.PredOps {
+		t.Fatalf("live run measured %d parallel I/Os, want below the oblivious prediction %d", ops, run.PredOps)
+	}
+	if len(run.Rows) == 0 {
+		t.Fatal("no rows recorded")
+	}
+	return run
+}
+
+// modes names the two transfer-extent modes a ledger test covers.
+var modes = []struct {
+	name      string
+	oblivious bool
+}{{"oblivious", true}, {"live", false}}
+
 // TestLedgerReconciles is the tentpole invariant: for every workload ×
-// machine × schedule combination the Theorem 2/3 prediction matches the
-// measured parallel I/Os bit-exactly, row by row and in total.
+// machine × schedule combination, in both extent modes, the ledger
+// reconciles (see checkLedger).
 func TestLedgerReconciles(t *testing.T) {
 	for _, w := range []string{"sort", "permute", "transpose"} {
 		for _, seq := range []bool{true, false} {
 			for _, pipe := range []core.PipelineMode{core.PipelineOff, core.PipelineOn} {
 				name := fmt.Sprintf("%s/seq=%v/pipe=%v", w, seq, pipe == core.PipelineOn)
 				t.Run(name, func(t *testing.T) {
-					led, ops := runWorkload(t, w, seq, pipe, false)
-					runs := led.Runs()
-					if len(runs) != 1 {
-						t.Fatalf("ledger recorded %d runs, want 1", len(runs))
-					}
-					if err := led.Reconcile(); err != nil {
-						t.Fatalf("reconcile: %v", err)
-					}
-					if runs[0].PredOps != ops {
-						t.Fatalf("predicted %d parallel I/Os, measured %d", runs[0].PredOps, ops)
-					}
-					if runs[0].WallNs <= 0 {
-						t.Fatalf("run wall = %d ns, want > 0", runs[0].WallNs)
-					}
-					if len(runs[0].Rows) == 0 {
-						t.Fatal("no rows recorded")
+					for _, m := range modes {
+						t.Run(m.name, func(t *testing.T) {
+							led, ops := runWorkload(t, w, seq, pipe, false, m.oblivious)
+							if run := checkLedger(t, led, ops, m.oblivious); run.WallNs <= 0 {
+								t.Fatalf("run wall = %d ns, want > 0", run.WallNs)
+							}
+						})
 					}
 				})
 			}
@@ -130,16 +160,30 @@ func TestLedgerReconciles(t *testing.T) {
 // TestLedgerReconcilesCachedContexts covers the P = V resident-context
 // machine, whose prediction drops the context-swap term entirely.
 func TestLedgerReconcilesCachedContexts(t *testing.T) {
-	led, ops := runWorkload(t, "permute", false, core.PipelineOff, true)
-	if err := led.Reconcile(); err != nil {
-		t.Fatalf("reconcile: %v", err)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			led, ops := runWorkload(t, "permute", false, core.PipelineOff, true, m.oblivious)
+			if run := checkLedger(t, led, ops, m.oblivious); !run.Machine.CacheCtx {
+				t.Fatal("machine should record CacheCtx")
+			}
+		})
 	}
-	runs := led.Runs()
-	if runs[0].PredOps != ops {
-		t.Fatalf("predicted %d, measured %d", runs[0].PredOps, ops)
-	}
-	if !runs[0].Machine.CacheCtx {
-		t.Fatal("machine should record CacheCtx")
+}
+
+// TestLedgerSummaryLiveRatio checks the summary's live/oblivious column:
+// exactly 1 for an oblivious run, below 1 for a live one.
+func TestLedgerSummaryLiveRatio(t *testing.T) {
+	for _, m := range modes {
+		led, _ := runWorkload(t, "sort", false, core.PipelineOn, false, m.oblivious)
+		ratio := led.Runs()[0].LiveRatio()
+		if m.oblivious != (ratio == 1) || ratio <= 0 || ratio > 1 {
+			t.Errorf("%s: live/oblivious ratio %v", m.name, ratio)
+		}
+		var buf bytes.Buffer
+		led.SummaryTable().Render(&buf)
+		if !strings.Contains(buf.String(), "live/obl") {
+			t.Errorf("%s: summary lacks the live/obl column:\n%s", m.name, buf.String())
+		}
 	}
 }
 
@@ -260,7 +304,7 @@ func TestValidateRejectsLedgerWithoutRecorder(t *testing.T) {
 
 // TestLedgerJSONRoundTrip pins the export schema version and shape.
 func TestLedgerJSONRoundTrip(t *testing.T) {
-	led, _ := runWorkload(t, "permute", true, core.PipelineOff, false)
+	led, _ := runWorkload(t, "permute", true, core.PipelineOff, false, false)
 	var buf bytes.Buffer
 	if err := led.WriteJSON(&buf); err != nil {
 		t.Fatalf("write: %v", err)

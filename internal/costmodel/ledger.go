@@ -64,15 +64,22 @@ type Run struct {
 }
 
 // ModelWall returns the run's modelled wall time under tm: the critical
-// path of the predicted schedule. The sequential machine is one serial
-// stream of parallel I/Os; the parallel machine's processors proceed
-// concurrently between round barriers, so each round costs the maximum
-// per-processor predicted time and the init distribution is spread
-// evenly over the processors.
+// path of the schedule the run issued, priced op by op. Under the
+// content-oblivious extents that is the predicted schedule (Reconcile
+// holds the counts equal); a live-extent run's counts depend on the data,
+// so its measured per-row counts are priced instead. The sequential
+// machine is one serial stream of parallel I/Os; the parallel machine's
+// processors proceed concurrently between round barriers, so each round
+// costs the maximum per-processor time and the init distribution is
+// spread evenly over the processors.
 func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 	op := tm.OpTime(r.Machine.B)
 	if !r.Machine.Par {
-		return time.Duration(r.PredOps) * op
+		var ops int64
+		for _, row := range r.Rows {
+			ops += row.MeasOps()
+		}
+		return time.Duration(ops) * op
 	}
 	var total time.Duration
 	// roundOps[proc] accumulates one round at a time; rows arrive in
@@ -80,7 +87,7 @@ func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 	perRound := map[int]map[int]int64{}
 	for _, row := range r.Rows {
 		if row.Label == "init" {
-			ops := row.PredOps()
+			ops := row.MeasOps()
 			p := int64(r.Machine.P)
 			total += time.Duration((ops+p-1)/p) * op
 			continue
@@ -90,7 +97,7 @@ func (r Run) ModelWall(tm pdm.TimeModel) time.Duration {
 			m = map[int]int64{}
 			perRound[row.Round] = m
 		}
-		m[row.Proc] += row.PredOps()
+		m[row.Proc] += row.MeasOps()
 	}
 	for _, procs := range perRound {
 		var max int64
@@ -195,13 +202,8 @@ func (l *Ledger) Runs() []Run {
 	return out
 }
 
-// Reconcile checks every run's predictions against its measurements:
-// each row's predicted context and message parallel I/Os must equal the
-// measured ones bit-exactly, the per-row sums must equal the driver's
-// Result totals, and context + message ops must account for every
-// parallel I/O the disk arrays counted. Any mismatch is model drift (or
-// a driver accounting bug) and is returned as an error naming the first
-// offending coordinate.
+// Reconcile checks every run's predictions against its measurements
+// (see Run.Reconcile) and returns the first failure, naming the run.
 func (l *Ledger) Reconcile() error {
 	if l == nil {
 		return nil
@@ -209,39 +211,75 @@ func (l *Ledger) Reconcile() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for ri, run := range l.runs {
-		var sumCtx, sumMsg int64
-		for _, row := range run.Rows {
-			if row.PredCtxOps != row.MeasCtxOps || row.PredMsgOps != row.MeasMsgOps {
-				return fmt.Errorf(
-					"costmodel: run %d (%s) %s round %d vp %d proc %d: predicted ctx=%d msg=%d, measured ctx=%d msg=%d",
-					ri, run.Name, row.Label, row.Round, row.VP, row.Proc,
-					row.PredCtxOps, row.PredMsgOps, row.MeasCtxOps, row.MeasMsgOps)
-			}
-			sumCtx += row.MeasCtxOps
-			sumMsg += row.MeasMsgOps
-		}
-		t := run.Totals
-		if sumCtx != t.CtxOps || sumMsg != t.MsgOps {
-			return fmt.Errorf("costmodel: run %d (%s): row sums ctx=%d msg=%d != result totals ctx=%d msg=%d",
-				ri, run.Name, sumCtx, sumMsg, t.CtxOps, t.MsgOps)
-		}
-		if t.CtxOps+t.MsgOps != t.ParallelOps {
-			return fmt.Errorf("costmodel: run %d (%s): ctx %d + msg %d != parallel ops %d",
-				ri, run.Name, t.CtxOps, t.MsgOps, t.ParallelOps)
+		if err := run.Reconcile(); err != nil {
+			return fmt.Errorf("costmodel: run %d (%s): %w", ri, run.Name, err)
 		}
 	}
 	return nil
 }
 
+// Reconcile checks the run's predictions against its measurements. Each
+// row's measured context and message parallel I/Os must equal the
+// prediction bit-exactly when the run used the content-oblivious extents
+// (Machine.Oblivious), and must not exceed it otherwise: a live-extent
+// transfer moves a prefix of every reserved run the prediction prices,
+// and greedy FIFO packing of a subsequence never needs more cycles than
+// packing the whole sequence. In both modes the per-row sums must equal
+// the driver's Result totals, and context + message ops must account for
+// every parallel I/O the disk arrays counted. Any failure is model drift
+// (or a driver accounting bug) and is returned as an error naming the
+// first offending coordinate.
+func (run Run) Reconcile() error {
+	var sumCtx, sumMsg int64
+	for _, row := range run.Rows {
+		exact := row.PredCtxOps == row.MeasCtxOps && row.PredMsgOps == row.MeasMsgOps
+		bounded := row.MeasCtxOps <= row.PredCtxOps && row.MeasMsgOps <= row.PredMsgOps
+		if (run.Machine.Oblivious && !exact) || !bounded {
+			rule := "≤"
+			if run.Machine.Oblivious {
+				rule = "="
+			}
+			return fmt.Errorf(
+				"%s round %d vp %d proc %d: predicted ctx=%d msg=%d, measured ctx=%d msg=%d (want measured %s predicted)",
+				row.Label, row.Round, row.VP, row.Proc,
+				row.PredCtxOps, row.PredMsgOps, row.MeasCtxOps, row.MeasMsgOps, rule)
+		}
+		sumCtx += row.MeasCtxOps
+		sumMsg += row.MeasMsgOps
+	}
+	t := run.Totals
+	if sumCtx != t.CtxOps || sumMsg != t.MsgOps {
+		return fmt.Errorf("row sums ctx=%d msg=%d != result totals ctx=%d msg=%d",
+			sumCtx, sumMsg, t.CtxOps, t.MsgOps)
+	}
+	if t.CtxOps+t.MsgOps != t.ParallelOps {
+		return fmt.Errorf("ctx %d + msg %d != parallel ops %d",
+			t.CtxOps, t.MsgOps, t.ParallelOps)
+	}
+	return nil
+}
+
+// LiveRatio is the run's measured parallel I/Os as a fraction of the
+// content-oblivious prediction: 1 for an oblivious run, and the share of
+// the reserved schedule a live-extent run actually moved otherwise.
+func (run Run) LiveRatio() float64 {
+	if run.PredOps == 0 {
+		return 1
+	}
+	return float64(run.Totals.ParallelOps) / float64(run.PredOps)
+}
+
 // SummaryTable renders one line per run: predicted vs measured parallel
-// I/Os, modelled vs measured wall time, stall and syscall context.
+// I/Os and their ratio, modelled vs measured wall time, stall and
+// syscall context.
 func (l *Ledger) SummaryTable() *trace.Table {
 	t := &trace.Table{
 		Title: "Cost-model ledger: predicted vs measured",
-		Columns: []string{"run", "machine", "rounds", "pred IOs", "meas IOs",
+		Columns: []string{"run", "machine", "rounds", "pred IOs", "meas IOs", "live/obl",
 			"model ms", "wall ms", "stall ms", "syscalls"},
 		Notes: []string{
-			"pred IOs: Theorem 2/3 accounting replayed over the staggered layout",
+			"pred IOs: Theorem 2/3 accounting replayed over the staggered layout (content-oblivious extents)",
+			"live/obl: meas IOs ÷ pred IOs — 1 under core.Config.Oblivious, the share of the reserved schedule a live-extent run moved otherwise",
 			"model ms: predicted critical-path time under the ledger's TimeModel",
 			"wall ms: first-row start to last-row end on the recorder clock",
 		},
@@ -262,6 +300,7 @@ func (l *Ledger) SummaryTable() *trace.Table {
 		}
 		t.AddRow(name, mach, run.Totals.Rounds,
 			run.PredOps, run.Totals.ParallelOps,
+			trace.FormatFloat(run.LiveRatio()),
 			trace.FormatFloat(run.ModelWall(l.tm).Seconds()*1e3),
 			trace.FormatFloat(float64(run.WallNs)/1e6),
 			trace.FormatFloat(run.Totals.Stall.Seconds()*1e3),

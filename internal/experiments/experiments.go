@@ -97,7 +97,7 @@ func Fig3(s Scale) (*trace.Table, error) {
 	}
 	for _, n := range []int{s.N / 8, s.N / 4, s.N / 2, s.N, 2 * s.N} {
 		keys := workload.Int64s(int64(n), n)
-		cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+		cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Oblivious: true, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("fig3: %w", err)
 		}
@@ -127,7 +127,7 @@ func Fig4(s Scale) (*trace.Table, error) {
 	for _, n := range []int{s.N / 4, s.N / 2, s.N} {
 		for _, d := range []int{1, 2} {
 			keys := workload.Int64s(int64(n), n)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Oblivious: true, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
 			if err := cfg.Validate(); err != nil {
 				return nil, fmt.Errorf("fig4: %w", err)
 			}
@@ -287,7 +287,7 @@ func Sweep(s Scale) (*trace.Table, error) {
 		if s.V%p != 0 {
 			continue
 		}
-		cfg := core.Config{V: s.V, P: p, D: 2, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+		cfg := core.Config{V: s.V, P: p, D: 2, B: s.B, Oblivious: true, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep p=%d: %w", p, err)
 		}
@@ -304,7 +304,7 @@ func Sweep(s Scale) (*trace.Table, error) {
 		t.AddRow(s.N, s.V, p, 2, res.IO.ParallelOps, maxOps, res.CommItems)
 	}
 	for _, d := range []int{1, 2, 4, 8} {
-		cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
+		cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Oblivious: true, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep d=%d: %w", d, err)
 		}

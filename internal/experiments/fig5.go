@@ -36,12 +36,14 @@ type fig5Row struct {
 // returns the two I/O constants.
 func runEM(s Scale, n int, run func(e *rec.Exec, n int) error) (r1, r2 *rec.Exec, err error) {
 	e1 := rec.NewEM(s.V, s.P, 2, s.B)
+	e1.Oblivious = true
 	e1.Recorder = s.Rec
 	e1.Ledger = s.Ledger
 	if err := run(e1, n); err != nil {
 		return nil, nil, err
 	}
 	e2 := rec.NewEM(s.V, s.P, 2, s.B)
+	e2.Oblivious = true
 	e2.Recorder = s.Rec
 	e2.Ledger = s.Ledger
 	if err := run(e2, 2*n); err != nil {
@@ -78,7 +80,7 @@ func Fig5(s Scale) (*trace.Table, error) {
 	{
 		run := func(n int) (*core.Result[int64], error) {
 			keys := workload.Int64s(int64(n), n)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Oblivious: true, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}
@@ -127,7 +129,7 @@ func Fig5(s Scale) (*trace.Table, error) {
 		run := func(n int) (*core.Result[permute.Item], error) {
 			vals := workload.Int64s(int64(n), n)
 			dests := workload.Permutation(int64(n)+1, n)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Oblivious: true, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}
@@ -155,7 +157,7 @@ func Fig5(s Scale) (*trace.Table, error) {
 		run := func(n int) (*core.Result[permute.Item], error) {
 			l := n / k
 			vals := workload.Int64s(int64(n), k*l)
-			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
+			cfg := core.Config{V: s.V, P: s.P, D: d, B: s.B, Oblivious: true, Recorder: s.Rec, Pipeline: s.Pipeline, PipelineDepth: s.Depth, Ledger: s.Ledger}
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}

@@ -58,7 +58,7 @@ func FileDiskFig(s Scale) (*trace.Table, error) {
 			if rec == nil {
 				rec = obs.NewRecorder() // stall is only measured with a recorder
 			}
-			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Recorder: rec,
+			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Oblivious: true, Recorder: rec,
 				Pipeline: mode, DiskDir: dir, DirectIO: direct}
 			if mode != core.PipelineOff {
 				cfg.PipelineDepth = s.Depth // the sync arm has no window

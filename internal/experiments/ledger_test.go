@@ -35,6 +35,11 @@ func TestFig5LedgerReconciles(t *testing.T) {
 		t.Fatalf("ledger recorded %d runs, expected the full Figure 5 table (> 10)", len(runs))
 	}
 	for i, r := range runs {
+		// The harness reproduces the paper's constants: every run uses
+		// the content-oblivious extents, so Reconcile held it bit-exact.
+		if !r.Machine.Oblivious {
+			t.Errorf("run %d (%s) used live extents; the harness must set core.Config.Oblivious", i, r.Name)
+		}
 		if r.PredOps != r.Totals.ParallelOps {
 			t.Errorf("run %d (%s): predicted %d parallel I/Os, measured %d",
 				i, r.Name, r.PredOps, r.Totals.ParallelOps)

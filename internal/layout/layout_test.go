@@ -444,3 +444,73 @@ func TestStripedRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A live-extent transfer moves a prefix of every slot it touches, at the
+// slot's fixed addresses. The prefix requests must be exactly the slot's
+// first n reserved requests, and packing the prefixes of a whole inbox
+// (or a parallel machine's region) with the FIFO scheduler must never take
+// more parallel I/Os than packing the reserved slots: greedy FIFO packing
+// is optimal among partitions into consecutive conflict-free cycles, and
+// the reserved packing restricted to the subsequence is such a partition.
+func TestSlotPrefixPackingNeverCostsMore(t *testing.T) {
+	fifoOps := func(d int, reqs []pdm.BlockReq) int {
+		arr := pdm.NewMemArray(d, 1)
+		bufs := make([][]pdm.Word, len(reqs))
+		for i := range bufs {
+			bufs[i] = []pdm.Word{1}
+		}
+		ops, err := WriteFIFO(arr, reqs, bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ops
+	}
+	if err := quick.Check(func(v8, bpm8, d8, phase uint8, lens []uint8) bool {
+		v, bpm, d := int(v8)%6+1, int(bpm8)%5+1, int(d8)%5+1
+		m, err := NewMatrix(v, bpm, d, 3)
+		if err != nil {
+			return false
+		}
+		r, err := NewRect(v, (v+1)/2, bpm, d, 3)
+		if err != nil {
+			return false
+		}
+		n := func(i int) int {
+			if len(lens) == 0 {
+				return 0
+			}
+			return int(lens[i%len(lens)]) % (bpm + 1)
+		}
+		for dst := 0; dst < v; dst++ {
+			var live []pdm.BlockReq
+			for src := 0; src < v; src++ {
+				rg, a := m.Place(int(phase), src, dst)
+				pre := m.AppendSlotPrefix(nil, rg, a, n(m.SlotIndex(rg, a)))
+				full := m.AppendSlotPrefix(nil, rg, a, bpm)
+				for q := range pre {
+					if pre[q] != full[q] {
+						return false
+					}
+				}
+				live = append(live, pre...)
+			}
+			if fifoOps(d, live) > fifoOps(d, m.AppendInboxReqs(nil, int(phase), dst)) {
+				t.Logf("v=%d bpm=%d d=%d: matrix inbox %d packs worse than reserved", v, bpm, d, dst)
+				return false
+			}
+		}
+		for l := 0; l < r.Regions; l++ {
+			var live []pdm.BlockReq
+			for src := 0; src < v; src++ {
+				live = r.AppendSlotPrefix(live, l, src, n(r.SlotIndex(l, src)))
+			}
+			if fifoOps(d, live) > fifoOps(d, r.AppendRegionReqs(nil, l)) {
+				t.Logf("v=%d bpm=%d d=%d: rect region %d packs worse than reserved", v, bpm, d, l)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

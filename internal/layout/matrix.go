@@ -78,6 +78,31 @@ func (m Matrix) SlotBlock(r, a, q int) pdm.BlockReq {
 	return pdm.BlockReq{Disk: g % m.D, Track: t + g/m.D}
 }
 
+// SlotIndex returns the index of slot a of region r in a table with one
+// entry per physical slot (V·V entries, region-major) — the shape of a
+// driver's live-length table, which is keyed by where a message sits
+// rather than by who sent it, so Observation 2's alternation needs no
+// extra bookkeeping.
+// emcgm:hotpath
+func (m Matrix) SlotIndex(r, a int) int { return r*m.V + a }
+
+// AppendSlotPrefix appends the requests for the first n blocks of slot a
+// in region r (0 ≤ n ≤ BPM), in block order. A live-extent transfer moves
+// only the prefix its message occupies; n = BPM is the full reserved slot.
+// The addresses are the slot's fixed ones, so a prefix keeps every
+// property of the full layout: Observation 2's alternation, and
+// conflict-free packing under the FIFO scheduler.
+// emcgm:hotpath
+func (m Matrix) AppendSlotPrefix(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
+	if n < 0 || n > m.BPM {
+		panic(fmt.Sprintf("layout: slot prefix of %d blocks exceeds BPM = %d", n, m.BPM))
+	}
+	for q := 0; q < n; q++ {
+		reqs = append(reqs, m.SlotBlock(r, a, q))
+	}
+	return reqs
+}
+
 // Place returns the (region, slot) holding the message src→dst in the
 // given phase (superstep parity), per Observation 2's alternation.
 // emcgm:hotpath
@@ -102,9 +127,7 @@ func (m Matrix) InboxReqs(phase, dst int) []pdm.BlockReq {
 func (m Matrix) AppendInboxReqs(reqs []pdm.BlockReq, phase, dst int) []pdm.BlockReq {
 	for src := 0; src < m.V; src++ {
 		r, a := m.Place(phase, src, dst)
-		for q := 0; q < m.BPM; q++ {
-			reqs = append(reqs, m.SlotBlock(r, a, q))
-		}
+		reqs = m.AppendSlotPrefix(reqs, r, a, m.BPM)
 	}
 	return reqs
 }
@@ -123,9 +146,7 @@ func (m Matrix) OutboxReqs(phase, src int) []pdm.BlockReq {
 func (m Matrix) AppendOutboxReqs(reqs []pdm.BlockReq, phase, src int) []pdm.BlockReq {
 	for dst := 0; dst < m.V; dst++ {
 		r, a := m.Place(phase+1, src, dst)
-		for q := 0; q < m.BPM; q++ {
-			reqs = append(reqs, m.SlotBlock(r, a, q))
-		}
+		reqs = m.AppendSlotPrefix(reqs, r, a, m.BPM)
 	}
 	return reqs
 }

@@ -50,6 +50,24 @@ func (m Rect) SlotBlock(r, a, q int) pdm.BlockReq {
 	return pdm.BlockReq{Disk: g % m.D, Track: t + g/m.D}
 }
 
+// SlotIndex returns the index of slot a of region r in a table with one
+// entry per physical slot (Regions·Slots entries, region-major).
+func (m Rect) SlotIndex(r, a int) int { return r*m.Slots + a }
+
+// AppendSlotPrefix appends the requests for the first n blocks of slot a
+// in region r (0 ≤ n ≤ BPM), in block order — the live extent of a
+// message that fills only part of its reserved slot. n = BPM is the full
+// slot.
+func (m Rect) AppendSlotPrefix(reqs []pdm.BlockReq, r, a, n int) []pdm.BlockReq {
+	if n < 0 || n > m.BPM {
+		panic(fmt.Sprintf("layout: rect slot prefix of %d blocks exceeds BPM = %d", n, m.BPM))
+	}
+	for q := 0; q < n; q++ {
+		reqs = append(reqs, m.SlotBlock(r, a, q))
+	}
+	return reqs
+}
+
 // SlotReqs returns the BPM block requests of slot a in region r, in block
 // order.
 func (m Rect) SlotReqs(r, a int) []pdm.BlockReq {
@@ -58,10 +76,7 @@ func (m Rect) SlotReqs(r, a int) []pdm.BlockReq {
 
 // AppendSlotReqs is SlotReqs appending into caller-owned storage.
 func (m Rect) AppendSlotReqs(reqs []pdm.BlockReq, r, a int) []pdm.BlockReq {
-	for q := 0; q < m.BPM; q++ {
-		reqs = append(reqs, m.SlotBlock(r, a, q))
-	}
-	return reqs
+	return m.AppendSlotPrefix(reqs, r, a, m.BPM)
 }
 
 // RegionReqs returns the block requests of the whole region r (Slots·BPM
@@ -73,9 +88,7 @@ func (m Rect) RegionReqs(r int) []pdm.BlockReq {
 // AppendRegionReqs is RegionReqs appending into caller-owned storage.
 func (m Rect) AppendRegionReqs(reqs []pdm.BlockReq, r int) []pdm.BlockReq {
 	for a := 0; a < m.Slots; a++ {
-		for q := 0; q < m.BPM; q++ {
-			reqs = append(reqs, m.SlotBlock(r, a, q))
-		}
+		reqs = m.AppendSlotPrefix(reqs, r, a, m.BPM)
 	}
 	return reqs
 }

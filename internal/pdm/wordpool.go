@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -15,29 +16,68 @@ import (
 // allocation would then pay for the rounding; with exact lengths a run on
 // an empty free list allocates exactly what it would without one.
 //
+// Idle buffers age with the garbage collector the way sync.Pool's do:
+// after every collection the buffers freed since the one before become
+// victims, and victims that stayed idle for a whole cycle are dropped, so
+// an idle buffer is returned to the heap within two cycles. The list is
+// not a sync.Pool, though. A sync.Pool parks the first buffer each P
+// frees in that P's private slot, which no other P can take; whenever a
+// run's buffers are freed on one P and the next run allocates on another
+// — which the collector's own workers make more likely the more often it
+// runs — one buffer of every length is stranded and the next run pays a
+// fresh make for it. One stack per length under one mutex has no such
+// slots, and its operations are rare: one per scratch image and per
+// MemDisk arena chunk of a run.
+//
 // Recycled buffers are NOT zeroed. That is safe because every consumer
-// overwrites a buffer before it reads it: scratch images are filled by a
-// full-image encode (padding included) before any write, or by a
-// full-image read before any decode, and a MemDisk track is readable only
-// after a full-block write into it.
+// overwrites a buffer before it reads it: the blocks of a scratch image
+// that a write moves are filled by an encode (padding to the end of the
+// last block included) first, a decode reads only blocks a read has just
+// landed, and a MemDisk track is readable only after a full-block write
+// into it.
+
+// wordStack holds the idle buffers of one length: cur were freed since
+// the last collection, old before it.
+type wordStack struct {
+	cur, old [][]Word
+}
+
 var (
 	wordPoolMu sync.Mutex
-	wordPools  = map[int]*sync.Pool{}
+	wordPools  = map[int]*wordStack{}
+	wordStacks []*wordStack // every stack, in creation order, for aging
 )
 
 // wordPoison, when set, makes AllocWords fill every buffer it hands out
 // with garbage (see SetWordPoison).
 var wordPoison atomic.Bool
 
-func wordPool(n int) *sync.Pool {
+func init() { armWordAging() }
+
+// gcTick is an object allocated only to become garbage: its cleanup runs
+// once the collector has found it unreachable, so arming a fresh one from
+// each cleanup ticks once per collection. It holds a pointer so that it
+// is not tiny-allocated alongside objects that keep it alive.
+type gcTick struct{ _ *byte }
+
+// armWordAging schedules one ageWords after the next collection, and
+// re-arms itself from there.
+func armWordAging() {
+	runtime.AddCleanup(&gcTick{}, func(struct{}) {
+		ageWords()
+		armWordAging()
+	}, struct{}{})
+}
+
+// ageWords drops the victims and makes victims of the buffers freed since
+// the last collection.
+func ageWords() {
 	wordPoolMu.Lock()
 	defer wordPoolMu.Unlock()
-	p := wordPools[n]
-	if p == nil {
-		p = new(sync.Pool)
-		wordPools[n] = p
+	for _, s := range wordStacks {
+		clear(s.old)
+		s.old, s.cur = s.cur, s.old[:0]
 	}
-	return p
 }
 
 // AllocWords returns a buffer of n words from the free list, or a fresh
@@ -47,10 +87,8 @@ func AllocWords(n int) []Word {
 	if n <= 0 {
 		return nil
 	}
-	var w []Word
-	if bp, ok := wordPool(n).Get().(*[]Word); ok {
-		w = *bp
-	} else {
+	w := popWords(n)
+	if w == nil {
 		w = make([]Word, n)
 	}
 	if wordPoison.Load() {
@@ -61,6 +99,26 @@ func AllocWords(n int) []Word {
 	return w
 }
 
+// popWords takes an idle buffer of n words, the most recently freed
+// first, or returns nil.
+func popWords(n int) []Word {
+	wordPoolMu.Lock()
+	defer wordPoolMu.Unlock()
+	s := wordPools[n]
+	if s == nil {
+		return nil
+	}
+	for _, gen := range [2]*[][]Word{&s.cur, &s.old} {
+		if k := len(*gen); k > 0 {
+			w := (*gen)[k-1]
+			(*gen)[k-1] = nil
+			*gen = (*gen)[:k-1]
+			return w
+		}
+	}
+	return nil
+}
+
 // FreeWords returns a buffer obtained from AllocWords to the free list.
 // The caller must hold no other reference to it — in particular no
 // in-flight transfer may still target it.
@@ -69,7 +127,28 @@ func FreeWords(w []Word) {
 		return
 	}
 	w = w[:cap(w)]
-	wordPool(len(w)).Put(&w)
+	wordPoolMu.Lock()
+	defer wordPoolMu.Unlock()
+	s := wordPools[len(w)]
+	if s == nil {
+		s = &wordStack{}
+		wordPools[len(w)] = s
+		wordStacks = append(wordStacks, s)
+	}
+	s.cur = append(s.cur, w)
+}
+
+// DropFreeWords empties the free list, handing every idle buffer back to
+// the garbage collector at once instead of within two collections. A
+// test calls it to make the next run allocate every buffer fresh.
+func DropFreeWords() {
+	wordPoolMu.Lock()
+	defer wordPoolMu.Unlock()
+	for _, s := range wordStacks {
+		clear(s.cur)
+		clear(s.old)
+		s.cur, s.old = s.cur[:0], s.old[:0]
+	}
 }
 
 // SetWordPoison switches poisoning of AllocWords on or off and returns

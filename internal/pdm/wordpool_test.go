@@ -2,8 +2,10 @@ package pdm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestWordPoolConcurrent drives the free list from several goroutines at
@@ -111,5 +113,48 @@ func TestMemDiskRecycledArena(t *testing.T) {
 		if got[i] != Word(i) {
 			t.Fatalf("track 0 word %d = %#x, want %d", i, got[i], i)
 		}
+	}
+}
+
+// TestWordPoolReusesAcrossGoroutines pins what the free list is for: a
+// buffer freed by one goroutine is the next one handed out for its
+// length, whichever goroutine — and so whichever P — asks for it.
+func TestWordPoolReusesAcrossGoroutines(t *testing.T) {
+	const n = 777
+	w := AllocWords(n)
+	FreeWords(w)
+	got := make(chan []Word)
+	go func() { got <- AllocWords(n) }()
+	r := <-got
+	if &r[0] != &w[0] {
+		t.Error("a freed buffer was not handed out again: the next run would pay a fresh make")
+	}
+	FreeWords(r)
+	DropFreeWords()
+	if r := AllocWords(n); &r[0] == &w[0] {
+		t.Error("DropFreeWords kept an idle buffer")
+	}
+}
+
+// TestWordPoolAgesWithGC checks that idle buffers go back to the heap
+// within two collections, as they would from a sync.Pool: the free list
+// must not pin a finished run's memory for the life of the process.
+func TestWordPoolAgesWithGC(t *testing.T) {
+	const n = 779
+	FreeWords(make([]Word, n))
+	idle := func() int {
+		wordPoolMu.Lock()
+		defer wordPoolMu.Unlock()
+		s := wordPools[n]
+		return len(s.cur) + len(s.old)
+	}
+	// Aging runs from a cleanup after each collection, asynchronously.
+	deadline := time.Now().Add(10 * time.Second)
+	for idle() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d idle buffers survived collections for 10 s", idle())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -78,6 +78,12 @@ type Exec struct {
 	// disk files — each phase truncates them on creation.
 	DiskDir  string
 	DirectIO bool
+	// Oblivious runs every EM phase with the paper's content-oblivious
+	// transfer extents (core.Config.Oblivious): each context swap and
+	// message transfer moves its whole reserved run. The default moves
+	// only live extents — which matters here, since the uniform slot
+	// bound above reserves several times what a phase's messages fill.
+	Oblivious bool
 
 	// Recorder, when non-nil, traces every EM phase run through this
 	// executor; phases share one recorder, so a composite algorithm's
@@ -135,7 +141,7 @@ func (e *Exec) Run(prog cgm.Program[R], inputs [][]R) ([][]R, error) {
 		}
 		maxMsg = 6*((total+e.V-1)/e.V) + e.V + 16
 	}
-	cfg := core.Config{V: e.V, P: p, D: d, B: b, MaxMsgItems: maxMsg, Balanced: e.Balanced, Pipeline: e.Pipeline, PipelineDepth: e.Depth, DiskDir: e.DiskDir, DirectIO: e.DirectIO, Recorder: e.Recorder, Ledger: e.Ledger}
+	cfg := core.Config{V: e.V, P: p, D: d, B: b, MaxMsgItems: maxMsg, Balanced: e.Balanced, Pipeline: e.Pipeline, PipelineDepth: e.Depth, DiskDir: e.DiskDir, DirectIO: e.DirectIO, Oblivious: e.Oblivious, Recorder: e.Recorder, Ledger: e.Ledger}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

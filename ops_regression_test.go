@@ -6,7 +6,10 @@ package repro
 // bulk codecs) must leave the counted operations bit-identical. The
 // expected values below were captured from the seed implementation
 // (commit 32bc9f4, goroutine-per-op dispatch and per-round allocation)
-// and pin the cost model in place.
+// and pin the cost model in place. The seed moved every reserved block
+// of every context and message slot, so TestIOOpsMatchSeed runs each
+// case with core.Config.Oblivious; TestIOOpsLiveExtent pins the default
+// live-extent counts of the same cases against them.
 
 import (
 	"testing"
@@ -40,7 +43,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			keys := workload.Int64s(7, c.n)
-			cfg := core.Config{V: c.v, P: c.p, D: c.d, B: c.b, Balanced: c.balanced}
+			cfg := core.Config{V: c.v, P: c.p, D: c.d, B: c.b, Balanced: c.balanced, Oblivious: true}
 			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -67,7 +70,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		const n = 1 << 10
 		vals := workload.Int64s(3, n)
 		dests := workload.Permutation(4, n)
-		_, res, err := permute.EMPermute(vals, dests, core.Config{V: 4, P: 2, D: 2, B: 32})
+		_, res, err := permute.EMPermute(vals, dests, core.Config{V: 4, P: 2, D: 2, B: 32, Oblivious: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +104,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 				}
 				cfg := core.Config{
 					V: 8, P: 1, D: 2, B: 64,
-					DiskDir: dir, DirectIO: m.direct, Pipeline: m.schedule,
+					DiskDir: dir, DirectIO: m.direct, Pipeline: m.schedule, Oblivious: true,
 				}
 				_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 				if err != nil {
@@ -121,7 +124,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 	t.Run("runseq-direct", func(t *testing.T) {
 		const n = 1 << 11
 		keys := workload.Int64s(9, n)
-		cfg := sortalg.EMSortConfig(core.Config{V: 4, P: 1, D: 2, B: 64}, n)
+		cfg := sortalg.EMSortConfig(core.Config{V: 4, P: 1, D: 2, B: 64, Oblivious: true}, n)
 		res, err := core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, cgm.Scatter(keys, 4))
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +148,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		for _, k := range []int{1, 2, 4, 8} {
 			for p, seed := range seeds {
 				cfg := core.Config{V: 8, P: p, D: 2, B: 64,
-					Pipeline: core.PipelineOn, PipelineDepth: k}
+					Pipeline: core.PipelineOn, PipelineDepth: k, Oblivious: true}
 				_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 				if err != nil {
 					t.Fatalf("k=%d p=%d: %v", k, p, err)
@@ -153,6 +156,110 @@ func TestIOOpsMatchSeed(t *testing.T) {
 				got := want{res.IO.ParallelOps, res.CtxOps, res.MsgOps, res.Rounds, res.MaxTracks}
 				if got != seed {
 					t.Errorf("k=%d p=%d: ops = %+v, seed counted %+v", k, p, got, seed)
+				}
+			}
+		}
+	})
+}
+
+// TestIOOpsLiveExtent pins the default live-extent counts of the
+// TestIOOpsMatchSeed cases. Every case also runs under Oblivious, and no
+// live count may exceed its oblivious one — the Theorem 2/3 bound
+// carried over to the live schedule: each live transfer moves a prefix
+// of a reserved run that the oblivious schedule moves whole, at the same
+// addresses, and FIFO packing of a prefix never takes more cycles. The
+// rounds are the program's and do not move.
+func TestIOOpsLiveExtent(t *testing.T) {
+	type counts struct {
+		parallelOps, ctxOps, msgOps int64
+		rounds, maxTracks           int
+	}
+	of := func(io pdm.IOStats, ctx, msg int64, rounds, tracks int) counts {
+		return counts{io.ParallelOps, ctx, msg, rounds, tracks}
+	}
+	sortRun := func(cfg core.Config, n int) func(core.Config) (counts, error) {
+		keys := workload.Int64s(7, n)
+		return func(mode core.Config) (counts, error) {
+			cfg.Oblivious, cfg.Pipeline, cfg.PipelineDepth, cfg.DiskDir = mode.Oblivious, mode.Pipeline, mode.PipelineDepth, mode.DiskDir
+			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
+			if err != nil {
+				return counts{}, err
+			}
+			return of(res.IO, res.CtxOps, res.MsgOps, res.Rounds, res.MaxTracks), nil
+		}
+	}
+	permuteRun := func(mode core.Config) (counts, error) {
+		const n = 1 << 10
+		_, res, err := permute.EMPermute(workload.Int64s(3, n), workload.Permutation(4, n),
+			core.Config{V: 4, P: 2, D: 2, B: 32, Oblivious: mode.Oblivious})
+		if err != nil {
+			return counts{}, err
+		}
+		return of(res.IO, res.CtxOps, res.MsgOps, res.Rounds, res.MaxTracks), nil
+	}
+	directRun := func(mode core.Config) (counts, error) {
+		const n = 1 << 11
+		cfg := sortalg.EMSortConfig(core.Config{V: 4, P: 1, D: 2, B: 64, Oblivious: mode.Oblivious}, n)
+		res, err := core.RunSeq[int64](sortalg.Sorter[int64]{}, wordcodec.I64{}, cfg, cgm.Scatter(workload.Int64s(9, n), 4))
+		if err != nil {
+			return counts{}, err
+		}
+		return of(res.IO, res.CtxOps, res.MsgOps, res.Rounds, res.MaxTracks), nil
+	}
+	cases := []struct {
+		name string
+		run  func(core.Config) (counts, error)
+		live counts
+	}{
+		{"sort-seq", sortRun(core.Config{V: 8, P: 1, D: 2, B: 64}, 1<<12), counts{420, 291, 129, 4, 296}},
+		{"sort-par", sortRun(core.Config{V: 8, P: 4, D: 2, B: 64}, 1<<12), counts{421, 291, 130, 4, 74}},
+		{"sort-par-balanced", sortRun(core.Config{V: 8, P: 4, D: 2, B: 64, Balanced: true}, 1<<12), counts{1795, 1171, 624, 7, 210}},
+		{"sort-seq-D3", sortRun(core.Config{V: 4, P: 1, D: 3, B: 32}, 1<<10), counts{140, 92, 48, 4, 99}},
+		{"sort-par-D1", sortRun(core.Config{V: 4, P: 2, D: 1, B: 32}, 1<<10), counts{358, 258, 100, 4, 139}},
+		{"permute-par", permuteRun, counts{198, 116, 82, 2, 159}},
+		{"runseq-direct", directRun, counts{215, 147, 68, 4, 93}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			obl, err := c.run(core.Config{Oblivious: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := c.run(core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live != c.live {
+				t.Errorf("live counts = %+v, pinned %+v", live, c.live)
+			}
+			if live.parallelOps > obl.parallelOps || live.ctxOps > obl.ctxOps || live.msgOps > obl.msgOps ||
+				live.maxTracks > obl.maxTracks || live.rounds != obl.rounds {
+				t.Errorf("live counts %+v exceed the oblivious %+v", live, obl)
+			}
+		})
+	}
+
+	// Like the oblivious counts, the live ones are a function of the
+	// program and the geometry alone: every schedule, window depth and
+	// backend moves the same blocks.
+	t.Run("schedule-invariance", func(t *testing.T) {
+		for _, c := range cases[:2] {
+			modes := []core.Config{
+				{Pipeline: core.PipelineOff},
+				{DiskDir: t.TempDir()},
+				{DiskDir: t.TempDir(), Pipeline: core.PipelineOff},
+			}
+			for _, k := range []int{1, 2, 4, 8} {
+				modes = append(modes, core.Config{PipelineDepth: k})
+			}
+			for _, m := range modes {
+				got, err := c.run(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != c.live {
+					t.Errorf("%s pipeline=%v depth=%d file=%v: counts %+v, pinned %+v",
+						c.name, m.Pipeline == core.PipelineOn, m.PipelineDepth, m.DiskDir != "", got, c.live)
 				}
 			}
 		}
