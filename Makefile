@@ -25,7 +25,7 @@ bench:
 
 # Brief race-detector pass over the pipelined hot path driven by the
 # real benchmarks: the split-phase dispatch benchmarks and one
-# end-to-end sort under the (default-on) pipelined schedule. A fixed
+# end-to-end sort at the default pipeline depth. A fixed
 # small -benchtime keeps this a smoke test — the race detector needs
 # iterations, not statistics.
 bench-smoke:
@@ -33,7 +33,7 @@ bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkFig5GroupA/sort-emcgm' -benchtime 2x .
 
 # File-backed PDM smoke: one small end-to-end run of the FileDisk
-# figure (buffered + direct I/O rows, sync vs pipelined schedule). The
+# figure (buffered + direct I/O rows, depth 1 vs the default depth). The
 # committed BENCH_filedisk.json (benchfmt schema) uses the full size:
 #
 #	go run ./cmd/emcgm-bench -fig filedisk -n 131072 -v 16 -b 128 -bench BENCH_filedisk.json
@@ -41,8 +41,8 @@ bench-filedisk:
 	$(GO) run ./cmd/emcgm-bench -fig filedisk -n 16384 -v 8 -b 64
 
 # Benchmark recording and the regression gate. bench-record runs the
-# pipeline figure (sync vs pipelined over mem / mem+delay / file
-# backends) at smoke scale, writes the versioned benchfmt recording to
+# pipeline figure (depth 1 vs the default depth over mem / mem+delay /
+# file backends) at smoke scale, writes the versioned benchfmt recording to
 # bench-out.json, and diffs it against the committed BENCH_smoke.json
 # baseline. The gate uses -exact-only: wall times are machine-specific
 # noise across runners, so only the model-determined metrics (PDM
@@ -58,7 +58,7 @@ bench-baseline:
 	$(GO) run ./cmd/emcgm-bench -fig pipeline $(BENCH_SCALE) -bench BENCH_smoke.json > /dev/null
 
 # Two-point depth-sweep smoke: run the pipeline figure at a fixed k=2
-# window and under the auto policy, then diff the recordings. The exact
+# window and at the default depth 8, then diff the recordings. The exact
 # metrics (PDM parallel I/Os, rounds) must be bit-identical across
 # depths — the window only reorders begins — and the wide -tol keeps the
 # noisy wall/stall_frac comparison from flaking on shared runners while

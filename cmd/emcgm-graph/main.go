@@ -33,8 +33,7 @@ func main() {
 	directio := flag.Bool("directio", false, "open file disks with O_DIRECT, bypassing the page cache (needs -disks; falls back to buffered I/O where unsupported)")
 	traceOut := flag.String("trace", "", "write a Chrome trace of all pipeline phases to this file (load in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
-	pipeline := flag.Bool("pipeline", true, "use the split-phase pipelined superstep schedule (PDM counts are identical either way)")
-	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = auto from the calibrated time model)")
+	depth := flag.Int("depth", 0, "pipeline window depth k for every phase (0 = default 8; 1 = synchronous issue order)")
 	oblivious := flag.Bool("oblivious", false, "move every reserved block of each context and message slot (the paper's content-oblivious schedule) instead of only the live extent")
 	flag.Parse()
 
@@ -54,7 +53,7 @@ func main() {
 	// Every pipeline stage below runs on this machine shape; fail fast
 	// with the violated paper precondition (e.g. p must divide v).
 	if *depth < 0 {
-		fmt.Fprintf(os.Stderr, "emcgm-graph: -depth must be >= 0 (0 = auto), got %d\n", *depth)
+		fmt.Fprintf(os.Stderr, "emcgm-graph: -depth must be >= 0 (0 = default 8), got %d\n", *depth)
 		os.Exit(2)
 	}
 	mcfg := core.Config{V: *v, P: *p, D: *d, B: *b, PipelineDepth: *depth, DiskDir: *disks, DirectIO: *directio, Oblivious: *oblivious}
@@ -103,9 +102,6 @@ func main() {
 	e1.DiskDir, e1.DirectIO = *disks, *directio
 	e1.Depth = *depth
 	e1.Oblivious = *oblivious
-	if !*pipeline {
-		e1.Pipeline = core.PipelineOff
-	}
 	labels, forest, err := graph.ConnectedComponents(e1, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: components: %v\n", err)
@@ -125,9 +121,6 @@ func main() {
 	e2.DiskDir, e2.DirectIO = *disks, *directio
 	e2.Depth = *depth
 	e2.Oblivious = *oblivious
-	if !*pipeline {
-		e2.Pipeline = core.PipelineOff
-	}
 	blocks, err := graph.Biconn(e2, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: biconnectivity: %v\n", err)
@@ -151,9 +144,6 @@ func main() {
 	e3.DiskDir, e3.DirectIO = *disks, *directio
 	e3.Depth = *depth
 	e3.Oblivious = *oblivious
-	if !*pipeline {
-		e3.Pipeline = core.PipelineOff
-	}
 	arts, err := graph.ArticulationPoints(e3, nv, edges)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-graph: articulation points: %v\n", err)

@@ -37,8 +37,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace to this file (load in Perfetto)")
 	steps := flag.Bool("steps", false, "print the per-superstep I/O table")
 	msgs := flag.Bool("msgs", false, "print BalancedRouting message sizes vs the Theorem 1 bound (needs -balanced)")
-	pipeline := flag.Bool("pipeline", true, "use the split-phase pipelined superstep schedule (PDM counts are identical either way)")
-	depth := flag.Int("depth", 0, "pipeline window depth k (0 = auto from the calibrated time model)")
+	depth := flag.Int("depth", 0, "pipeline window depth k (0 = default 8; 1 = synchronous issue order)")
 	oblivious := flag.Bool("oblivious", false, "move every reserved block of each context and message slot (the paper's content-oblivious schedule) instead of only the live extent")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace.json, /steps and /debug/pprof on this address (e.g. :6060)")
 	flag.Parse()
@@ -58,13 +57,10 @@ func main() {
 	}
 
 	if *depth < 0 {
-		fmt.Fprintf(os.Stderr, "emcgm-sort: -depth must be >= 0 (0 = auto), got %d\n", *depth)
+		fmt.Fprintf(os.Stderr, "emcgm-sort: -depth must be >= 0 (0 = default 8), got %d\n", *depth)
 		os.Exit(2)
 	}
 	cfg := core.Config{V: *v, P: *p, D: *d, B: *b, Balanced: *balanced, PipelineDepth: *depth, DiskDir: *disks, DirectIO: *directio, Oblivious: *oblivious}
-	if !*pipeline {
-		cfg.Pipeline = core.PipelineOff
-	}
 	if err := cfg.ValidateFor(*n); err != nil {
 		fmt.Fprintf(os.Stderr, "emcgm-sort: %v\n", err)
 		os.Exit(2)

@@ -60,13 +60,12 @@ type MachineInfo struct {
 
 // Params are the experiment-scale parameters the benchmarks ran at.
 type Params struct {
-	N        int  `json:"n"`
-	V        int  `json:"v"`
-	P        int  `json:"p"`
-	D        int  `json:"d"`
-	B        int  `json:"b"`
-	Pipeline bool `json:"pipeline"`
-	// Depth is the configured pipeline window depth (0 = auto).
+	N int `json:"n"`
+	V int `json:"v"`
+	P int `json:"p"`
+	D int `json:"d"`
+	B int `json:"b"`
+	// Depth is the configured pipeline window depth (0 = the default 8).
 	// Additive and omitempty, so recordings from older schemas compare
 	// cleanly.
 	Depth int `json:"depth,omitempty"`

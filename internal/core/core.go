@@ -104,28 +104,6 @@ func releaseRing(ring ...*superstepScratch) {
 	}
 }
 
-// PipelineMode selects the superstep I/O schedule. The zero value is
-// PipelineOn, so configurations built by literal get the pipelined
-// schedule by default; PipelineOff is the debugging off-switch that
-// restores the fully synchronous reference schedule.
-type PipelineMode int
-
-const (
-	// PipelineOn software-pipelines the superstep loop with split-phase
-	// I/O over a ring of k superstepScratch slots (k = PipelineDepth,
-	// auto-sized when 0): while virtual processor j computes, the
-	// contexts and inboxes of VPs j+1 … j+⌊k/2⌋ are already being read
-	// and the writes of VPs back to j−⌈k/2⌉ drain as write-behind. The
-	// operation multiset, addresses, and PDM counts are bit-identical to
-	// the synchronous schedule (accounting is charged at begin time);
-	// only wall-clock overlap changes.
-	PipelineOn PipelineMode = iota
-	// PipelineOff runs every parallel I/O to completion before the next
-	// phase — the reference schedule, kept as a debugging off-switch and
-	// as the equivalence baseline for tests.
-	PipelineOff
-)
-
 // Config parameterises an EM-CGM machine.
 type Config struct {
 	// V is the number of virtual processors of the simulated CGM.
@@ -179,24 +157,20 @@ type Config struct {
 	// sanitizer companion of the lint suite. Validation allocates; use in
 	// tests and debugging runs, not benchmarks. I/O counts are unchanged.
 	CheckedIO bool
-	// Pipeline selects the superstep I/O schedule: PipelineOn (the zero
-	// value) overlaps disk transfers with compute via split-phase I/O and
-	// a ring of scratch slots, PipelineOff is the synchronous reference
-	// schedule. Both produce bit-identical outputs and PDM accounting.
-	Pipeline PipelineMode
-	// PipelineDepth is the sliding-window depth k of the pipelined
+	// PipelineDepth is the sliding-window depth k of the superstep
 	// schedule: the number of superstep scratch slots in each real
-	// processor's ring. Depth 1 degenerates to the synchronous order with
-	// split-phase overhead, depth 2 is the PR 5 ping-pong, deeper windows
-	// prefetch further ahead and expose more conflict-free transfers to
-	// the batch-coalescing disk workers. 0 (the default) picks a depth
-	// from the cost model (see costmodel.AutoDepth) and, when a Recorder
-	// is attached, adapts it upward between rounds while the measured
-	// stall fraction stays high. Any fixed depth keeps the begin order a
-	// deterministic function of the configuration; every depth keeps the
-	// operation multiset and PDM counts bit-identical to PipelineOff.
-	// The memory bound is enforced against M: k in-flight working sets
-	// (context + message scratch) must fit, Lemma 1–2 style.
+	// processor's ring. While a virtual processor computes, the contexts
+	// and inboxes of the next ⌊k/2⌋ are already being read and the writes
+	// of the ⌈k/2⌉ before it drain as write-behind. Depth 1 issues every
+	// operation in the paper's synchronous order — the reference schedule;
+	// deeper windows prefetch further ahead and expose more conflict-free
+	// transfers to the batch-coalescing disk workers. 0 (the default)
+	// means 8, clamped by v and by M. Every depth issues the same
+	// operation multiset at the same addresses, so outputs and PDM counts
+	// are bit-identical across depths (accounting is charged at begin
+	// time); only wall-clock overlap changes. The memory bound is enforced
+	// against M: k in-flight working sets (context + message scratch) must
+	// fit, Lemma 1–2 style, and a fixed depth that does not is an error.
 	PipelineDepth int
 	// Oblivious selects the paper's content-oblivious transfer extents:
 	// every context swap moves the full reserved run of ⌈μ·w/B⌉ blocks and
@@ -256,14 +230,8 @@ func (c Config) Validate() error {
 	if c.B < 1 {
 		return fmt.Errorf("core: B = %d words per block, want ≥ 1", c.B)
 	}
-	if c.Pipeline != PipelineOn && c.Pipeline != PipelineOff {
-		return fmt.Errorf("core: Pipeline = %d, want PipelineOn or PipelineOff", c.Pipeline)
-	}
 	if c.PipelineDepth < 0 {
-		return fmt.Errorf("core: PipelineDepth = %d, want ≥ 0 (0 = auto)", c.PipelineDepth)
-	}
-	if c.PipelineDepth > 0 && c.Pipeline == PipelineOff {
-		return fmt.Errorf("core: PipelineDepth = %d set with Pipeline: PipelineOff (the synchronous schedule has no window)", c.PipelineDepth)
+		return fmt.Errorf("core: PipelineDepth = %d, want ≥ 0 (0 = the default depth)", c.PipelineDepth)
 	}
 	if c.DirectIO && c.DiskDir == "" && c.NewDisk == nil {
 		return fmt.Errorf("core: DirectIO requires file-backed disks (set DiskDir, or supply NewDisk); in-memory disks have no page cache to bypass")
@@ -308,8 +276,7 @@ func (c Config) ValidateFor(n int) error {
 	// The live-length tables are charged too, at the smaller of the two
 	// machines' sizes (RunSeq runs any config with P = 1), so the check
 	// never rejects what a driver accepts.
-	if c.M > 0 && c.Pipeline == PipelineOn && c.PipelineDepth > 0 &&
-		c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
+	if c.M > 0 && c.PipelineDepth > 0 && c.MaxCtxItems > 0 && c.MaxMsgItems > 0 {
 		cb := pdm.BlocksFor(ctxWords(c.MaxCtxItems, 1), c.B)
 		bpm := pdm.BlocksFor(slotWords(c.MaxMsgItems, 1), c.B)
 		tables := min(lengthTableWords(c.V, c.V, false), lengthTableWords(c.V, c.V/c.P, true))
@@ -322,9 +289,9 @@ func (c Config) ValidateFor(n int) error {
 }
 
 // newArray builds the disk array of real processor proc. queueHint sizes
-// the per-disk worker queues for the caller's maximum in-flight window
-// (0 = the pdm default): the pipelined drivers pass their depth-k burst
-// so a deep window never blocks at begin time and silently serializes.
+// the per-disk worker queues for the caller's in-flight window (0 = the
+// pdm default): the drivers pass their depth-k burst so a deep window
+// never blocks at begin time and silently serializes.
 func (c Config) newArray(proc, queueHint int) (*pdm.DiskArray, error) {
 	var arr *pdm.DiskArray
 	opts := pdm.ArrayOptions{QueueDepth: queueHint}
@@ -429,17 +396,14 @@ type Result[T any] struct {
 	Syscalls int64
 	// Stall is the wall-clock time the superstep drivers spent blocked in
 	// Pending.Wait, summed over real processors — the I/O time the
-	// pipeline failed to hide behind compute. Measured only when a
-	// Recorder is attached (the determinism contract forbids wall-clock
-	// reads otherwise); zero for the synchronous schedule and for
-	// unrecorded runs.
+	// window failed to hide behind compute (at depth 1, all of it).
+	// Measured only when a Recorder is attached (the determinism contract
+	// forbids wall-clock reads otherwise); zero for unrecorded runs.
 	Stall time.Duration
-	// Depth is the pipeline ring depth the run finished with: the
-	// resolved PipelineDepth (after auto-sizing and memory clamping),
-	// grown by the online adaptation if it triggered. 0 for the
-	// synchronous schedule. Not part of the output/accounting
-	// equivalence contract — it describes the overlap schedule, which is
-	// exactly what the contract allows to vary.
+	// Depth is the ring depth the run used: PipelineDepth resolved (0 to
+	// the default 8) and clamped by v and M. Not part of the
+	// output/accounting equivalence contract — it describes the overlap
+	// schedule, which is exactly what the contract allows to vary.
 	Depth int
 }
 
@@ -655,8 +619,8 @@ func RunPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 // ledgerAdd prices a finished run into cfg.Ledger: the superstep rows
 // recorded since base (captured with Recorder.StepCount before the init
 // span) against the Theorem 2/3 prediction for the machine's geometry,
-// plus the Result totals for reconciliation. All four drivers call it
-// once at their success return; a nil Ledger costs one comparison.
+// plus the Result totals for reconciliation. Both drivers call it once
+// at their success return; a nil Ledger costs one comparison.
 func ledgerAdd[T any](cfg Config, par bool, g geometry, cacheCtx bool, base int, res *Result[T]) {
 	if cfg.Ledger == nil || cfg.Recorder == nil {
 		return

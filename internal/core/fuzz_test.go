@@ -70,13 +70,17 @@ func (c chaosProgram) Output(vp *cgm.VP[int64]) []int64 { return vp.State }
 
 // TestChaosEquivalence drives random communication patterns through the
 // in-memory runtime, the sequential machine, the parallel machine at
-// several p, and the balanced variants — all must agree exactly.
+// several p, and the balanced variants — all must agree exactly. Each
+// case also draws a window depth from {1, 2, default}: the sequential and
+// parallel machines run at depth 1 (the synchronous issue order) and at
+// the drawn depth, whose IO, CtxOps and MsgOps must be identical.
 func TestChaosEquivalence(t *testing.T) {
 	codec := wordcodec.I64{}
-	if err := quick.Check(func(seed int64, n16 uint16, v8, k8 uint8) bool {
+	if err := quick.Check(func(seed int64, n16 uint16, v8, k8, d8 uint8) bool {
 		v := []int{2, 4, 8}[int(v8)%3]
 		n := int(n16)%300 + v
 		k := int(k8)%4 + 1
+		depth := []int{1, 2, 0}[int(d8)%3]
 		prog := chaosProgram{Seed: seed, K: k}
 		in := make([]int64, n)
 		for i := range in {
@@ -108,12 +112,34 @@ func TestChaosEquivalence(t *testing.T) {
 			}
 			return true
 		}
+		// run executes one machine at depth 1 and at the drawn depth: both
+		// must match the runtime, with identical PDM accounting.
+		run := func(cfg Config, tag string, machine func(Config) (*Result[int64], error)) bool {
+			cfg.PipelineDepth = 1
+			k1, err := machine(cfg)
+			if err != nil || !check(k1, tag+" k=1") {
+				t.Logf("%s k=1: %v", tag, err)
+				return false
+			}
+			cfg.PipelineDepth = depth
+			res, err := machine(cfg)
+			if err != nil || !check(res, fmt.Sprintf("%s k=%d", tag, depth)) {
+				t.Logf("%s k=%d: %v", tag, depth, err)
+				return false
+			}
+			if res.IO != k1.IO || res.CtxOps != k1.CtxOps || res.MsgOps != k1.MsgOps {
+				t.Logf("%s k=%d: IO/ctx/msg = %+v/%d/%d, k=1 counted %+v/%d/%d", tag, depth,
+					res.IO, res.CtxOps, res.MsgOps, k1.IO, k1.CtxOps, k1.MsgOps)
+				return false
+			}
+			return true
+		}
+		seq := func(cfg Config) (*Result[int64], error) { return RunSeq[int64](prog, codec, cfg, parts) }
+		par := func(cfg Config) (*Result[int64], error) { return RunPar[int64](prog, codec, cfg, parts) }
 
 		// The chaos program can concentrate items; allow worst-case slots.
 		cfg := Config{V: v, P: 1, D: 2, B: 8, MaxMsgItems: 4 * n, MaxCtxItems: 8*n + 16}
-		sres, err := RunSeq[int64](prog, codec, cfg, parts)
-		if err != nil || !check(sres, "seq") {
-			t.Logf("seq: %v", err)
+		if !run(cfg, "seq", seq) {
 			return false
 		}
 		for _, p := range []int{2, v} {
@@ -122,9 +148,7 @@ func TestChaosEquivalence(t *testing.T) {
 			}
 			pcfg := cfg
 			pcfg.P = p
-			pres, err := RunPar[int64](prog, codec, pcfg, parts)
-			if err != nil || !check(pres, fmt.Sprintf("par p=%d", p)) {
-				t.Logf("par p=%d: %v", p, err)
+			if !run(pcfg, fmt.Sprintf("par p=%d", p), par) {
 				return false
 			}
 		}

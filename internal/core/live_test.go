@@ -119,8 +119,8 @@ func (l blockLog) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int6
 
 // TestLiveExtentEquivalence is the live schedule's correctness contract.
 // Every buffer the word free list hands out is poisoned, and two chaos
-// programs run over seq/par × {PipelineOff, K = 1, 2, auto} ×
-// {Mem, File, CheckedIO} × {plain, Balanced}:
+// programs run over seq/par × {K = 1, 2, default} × {Mem, File,
+// CheckedIO} × {plain, Balanced}:
 //
 //   - outputs equal cgm.Run's;
 //   - PDM counts are identical across schedules, depths and backends,
@@ -128,7 +128,7 @@ func (l blockLog) Round(vp *cgm.VP[int64], round int, inbox [][]int64) ([][]int6
 //   - for the unbalanced runs, the blocks moved equal the blockLog
 //     oracle's, so no transfer reads or writes past a live extent;
 //   - every in-memory disk track reads back exactly as after an
-//     unpoisoned synchronous run, so the last live block of every image
+//     unpoisoned K = 1 run, so the last live block of every image
 //     was zeroed past its items — a missing clear would write poison.
 //
 // CheckedIO additionally rejects any read of a block never written.
@@ -144,12 +144,10 @@ func TestLiveExtentEquivalence(t *testing.T) {
 		{"shrink", shrinkProgram{K: 7, Big: 20}, 24},
 		{"chaos", chaosProgram{Seed: 13, K: 3}, 90},
 	}
-	type schedule struct {
+	schedules := []struct {
 		name  string
-		pipe  PipelineMode
 		depth int
-	}
-	schedules := []schedule{{"sync", PipelineOff, 0}, {"k=1", PipelineOn, 1}, {"k=2", PipelineOn, 2}, {"auto", PipelineOn, 0}}
+	}{{"k=1", 1}, {"k=2", 2}, {"default", 0}}
 
 	for _, pc := range progs {
 		in := make([]int64, pc.n)
@@ -175,9 +173,9 @@ func TestLiveExtentEquivalence(t *testing.T) {
 
 				pdm.SetWordPoison(false)
 				pdm.DropFreeWords() // the next run allocates every buffer fresh
-				syncCfg := cfg
-				syncCfg.Pipeline = PipelineOff
-				want := runRecycle(t, pc.prog, syncCfg, par, "", parts)
+				k1 := cfg
+				k1.PipelineDepth = 1
+				want := runRecycle(t, pc.prog, k1, par, "", parts)
 				for j := range ref.Outputs {
 					if !slices.Equal(want.res.Outputs[j], ref.Outputs[j]) {
 						t.Fatalf("%s: vp %d output differs from cgm.Run", tag, j)
@@ -197,7 +195,7 @@ func TestLiveExtentEquivalence(t *testing.T) {
 				for _, sc := range schedules {
 					for _, backend := range []string{"mem", "file", "checked"} {
 						run := cfg
-						run.Pipeline, run.PipelineDepth = sc.pipe, sc.depth
+						run.PipelineDepth = sc.depth
 						dir := ""
 						switch backend {
 						case "file":
@@ -222,8 +220,8 @@ func TestLiveExtentEquivalence(t *testing.T) {
 // TestLengthTablesChargedAgainstM checks that every memory check counts
 // the live-length tables beside the scratch images: a budget that fits
 // the images exactly but not the tables is rejected by ValidateFor, by
-// the pipelined drivers' depth resolution and by the synchronous
-// drivers, and the same budget plus the tables is accepted.
+// the drivers' depth resolution and by both drivers at depth 1, and the
+// same budget plus the tables is accepted.
 func TestLengthTablesChargedAgainstM(t *testing.T) {
 	const v, p, b, items = 4, 2, 8, 64
 	cb := pdm.BlocksFor(ctxWords(items, 1), b)
@@ -246,7 +244,7 @@ func TestLengthTablesChargedAgainstM(t *testing.T) {
 		m  int
 		ok bool
 	}{{2 * slot, false}, {2*slot + 7, true}} {
-		k, _, err := pipeDepth(Config{B: b, PipelineDepth: 2, M: c.m}, v, slot, 7)
+		k, err := pipeDepth(Config{B: b, PipelineDepth: 2, M: c.m}, v, slot, 7)
 		if (err == nil) != c.ok || (c.ok && k != 2) {
 			t.Errorf("pipeDepth with M = %d: k = %d, err = %v, want ok = %v", c.m, k, err, c.ok)
 		}
@@ -260,7 +258,7 @@ func TestLengthTablesChargedAgainstM(t *testing.T) {
 			m  int
 			ok bool
 		}{{images, false}, {images + tables, true}} {
-			run := Config{V: v, P: p, D: 2, B: b, MaxCtxItems: items, MaxMsgItems: items, M: c.m, Pipeline: PipelineOff}
+			run := Config{V: v, P: p, D: 2, B: b, MaxCtxItems: items, MaxMsgItems: items, M: c.m, PipelineDepth: 1}
 			var err error
 			if par {
 				_, err = RunPar[int64](rotate{k: 1}, wordcodec.I64{}, run, parts)

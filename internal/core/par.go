@@ -21,14 +21,19 @@ type batch[T any] struct {
 	final bool
 }
 
-// procScratch is one real processor's superstepScratch plus the parallel
-// machine's reusable cross-processor batch containers. send[l·p+k] is the
-// message container local VP l reuses for its batch to real processor k;
-// a batch sent in round r is consumed by its receiver within round r
-// (every processor drains all v batches before the round barrier), so
-// reusing the container next round never clobbers an unread batch.
+// procScratch is one real processor's working storage: a ring of K
+// superstepScratch images (local VP l computes out of img[l mod K] while
+// the slots ahead of it prefetch and the slots behind it drain) plus the
+// reusable cross-processor batch containers. send[l·p+k] is the message
+// container local VP l reuses for its batch to real processor k; a batch
+// sent in round r is consumed by its receiver within round r (every
+// processor drains all v batches before the round barrier), so reusing
+// the container next round never clobbers an unread batch. The route
+// phase reuses the same ring, cycling landed batches through all K slots;
+// slots at or past localV serve only the route phase and hold no context
+// image.
 type procScratch[T any] struct {
-	*superstepScratch
+	img  []*superstepScratch
 	send [][][]T
 }
 
@@ -43,16 +48,24 @@ type procScratch[T any] struct {
 // same superstep are consumed, so the single-copy alternation of the
 // sequential machine does not apply).
 //
-// Each real processor owns one procScratch for the lifetime of the run;
-// the parallel I/O sequence is identical to the scratch-free formulation.
+// Each real processor software-pipelines its local superstep loop exactly
+// as runSeq does — a depth-K ring with prefetch distance ⌊K/2⌋, opened by
+// a per-round burst of the window's reads, context write-behind drained
+// lazily on slot reuse — and pipelines the route phase over the same K
+// slots, encoding up to K landed batches while earlier ones' blocks are
+// still being written. Channel sends (the real "network") stay
+// synchronous, so the barrier protocol and its compensating-send contract
+// do not depend on the depth.
 //
-// This body is the synchronous reference schedule (PipelineOff). Under
-// the default PipelineOn it dispatches to runParPipelined, which overlaps
-// the same operations with compute — see parpipe.go.
+// As in the sequential machine, the depth changes only the begin order of
+// operations, never their multiset or addresses: within a round, the
+// hoisted reads of VPs l+1 … l+⌊K/2⌋ (context runs and inbox regions)
+// are address-disjoint from the writes of VPs ≤ l (context runs ≤ l),
+// route writes target the opposite-parity matrix from the round's
+// reads, and each processor drains its write-behind before returning
+// from the round, so nothing crosses the barrier. PDM counts are
+// bit-identical to the synchronous issue order of K = 1 at every depth.
 func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T) (*Result[T], error) {
-	if cfg.Pipeline == PipelineOn {
-		return runParPipelined(prog, codec, cfg, inputs)
-	}
 	v, p := cfg.V, cfg.P
 	if len(inputs) != v {
 		return nil, fmt.Errorf("core: %d input partitions for V = %d", len(inputs), v)
@@ -62,28 +75,38 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 	cb, bpm := g.cb, g.bpm
 	ctxTracks := (localV*cb+cfg.D-1)/cfg.D + 1
 
-	if cfg.M > 0 {
-		need := cb*cfg.B + v*bpm*cfg.B + lengthTableWords(v, localV, true)
-		if need > cfg.M {
-			return nil, fmt.Errorf("core: superstep working set %d words exceeds M = %d", need, cfg.M)
-		}
+	// Ring depth per processor: capped at v (the route phase cycles up
+	// to v batches through the ring even when localV is small), bounded
+	// by M against k working sets beside the live-length tables. The VP
+	// loop uses only slots below localV; the slots past them only ever
+	// hold one route batch of localV·bpm blocks, so they are sized to that.
+	slotBlocks := cb + v*bpm
+	K, err := pipeDepth(cfg, v, slotBlocks*cfg.B, lengthTableWords(v, localV, true))
+	if err != nil {
+		return nil, err
 	}
+	shape := ringShape{full: localV, cb: cb, flatBlocks: v * bpm, routeBlocks: localV * bpm, b: cfg.B}
 
-	// Per-processor state, including the live-length tables of the
-	// processor's disks: ctxLen[i][l] for local VP l's context run, and
-	// slotLen[i][parity] per physical slot of that parity's rectangle. A
-	// processor's route phase fills the opposite parity's table from the
-	// batches it lands, and its next round's inbox reads consult it, so the
-	// lengths travel with the batches at no extra communication.
+	// Per-processor state. Each processor's split-phase trackers (pends,
+	// routePends) and live-length tables are owned by its goroutine for
+	// the round's duration; rounds are sequenced by the barrier, so reuse
+	// is race-free. The tables cover the processor's disks: ctxLen[i][l]
+	// for local VP l's context run, and slotLen[i][parity] per physical
+	// slot of that parity's rectangle. A processor's route phase fills the
+	// opposite parity's table from the batches it lands, and its next
+	// round's inbox reads consult it, so the lengths travel with the
+	// batches at no extra communication.
 	arrays := make([]*pdm.DiskArray, p)
 	matrices := make([][2]layout.Rect, p)
 	scrs := make([]*procScratch[T], p)
+	pends := make([][]vpInflight, p)
+	routePends := make([][]pdm.PendingSet, p)
 	ctxLen := make([][]int, p)
 	slotLen := make([][2][]int, p)
 	for i := 0; i < p; i++ {
 		ctxLen[i] = make([]int, localV)
 		slotLen[i] = [2][]int{make([]int, localV*v), make([]int, localV*v)}
-		a, err := cfg.newArray(i, 0)
+		a, err := cfg.newArray(i, shape.queueHint(K, cfg.D))
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +120,9 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			return nil, err
 		}
 		matrices[i] = [2]layout.Rect{m0, m1}
-		s := &procScratch[T]{superstepScratch: newSuperstepScratch(cb, v*bpm, cfg.B)}
+		s := &procScratch[T]{}
+		s.img, pends[i] = shape.ring(K)
+		routePends[i] = make([]pdm.PendingSet, K)
 		s.send = make([][][]T, localV*p)
 		for k := range s.send {
 			s.send[k] = make([][]T, localV)
@@ -109,13 +134,14 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			_ = a.Close() // cleanup path; I/O errors already surfaced per op
 		}
 		for _, s := range scrs {
-			releaseRing(s.superstepScratch)
+			releaseRing(s.img...)
 		}
 	}()
 
 	rec := cfg.Recorder
 	var mtrack obs.TrackID
 	var tracks []obs.TrackID
+	stallName := "stall"
 	if rec != nil {
 		mtrack = rec.Track("machine")
 		tracks = make([]obs.TrackID, p)
@@ -123,6 +149,8 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			tracks[i] = rec.Track(fmt.Sprintf("proc %d", i))
 			arrays[i].SetRecorder(rec, i)
 		}
+		rec.Gauge("core_pipeline_depth", func() int64 { return int64(K) })
+		stallName = fmt.Sprintf("stall k=%d", K)
 	}
 
 	owner := func(vp int) int { return vp / localV }
@@ -130,28 +158,9 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 	cacheCtx := cfg.CacheContexts && localV == 1
 	cached := make([][]T, p) // resident contexts when cacheCtx
 
-	writeCtx := func(proc, l int, state []T) error {
-		scr := scrs[proc]
-		nb, err := encodeCtxInto(codec, g, state, scr.ctxImg)
-		if err != nil {
-			return err
-		}
-		ctxLen[proc][l] = nb
-		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg[:nb*cfg.B], cfg.B)
-		return layout.WriteStripedScratch(arrays[proc], 0, l*cb, scr.bufs, &scr.lay)
-	}
-	readCtx := func(proc, l int) ([]T, error) {
-		scr := scrs[proc]
-		img := scr.ctxImg[:ctxLen[proc][l]*cfg.B]
-		if err := layout.ReadStripedScratch(arrays[proc], 0, l*cb, img, &scr.lay); err != nil {
-			return nil, err
-		}
-		return decodeCtx(codec, img)
-	}
-
 	res := &Result[T]{Outputs: make([][]T, v)}
 
-	// Input distribution.
+	// Input distribution — synchronous.
 	ledBase := rec.StepCount()
 	initSpan := rec.Begin(mtrack, "input distribution", "init")
 	for j := 0; j < v; j++ {
@@ -168,7 +177,16 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			cached[owner(j)] = vp.State
 			continue
 		}
-		if err := writeCtx(owner(j), localIdx(j), vp.State); err != nil {
+		i, l := owner(j), localIdx(j)
+		scr := scrs[i].img[0]
+		nb, err := encodeCtxInto(codec, g, vp.State, scr.ctxImg)
+		if err != nil {
+			initSpan.End()
+			return nil, err
+		}
+		ctxLen[i][l] = nb
+		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg[:nb*cfg.B], cfg.B)
+		if err := layout.WriteStripedScratch(arrays[i], 0, l*cb, scr.bufs, &scr.lay); err != nil {
 			initSpan.End()
 			return nil, err
 		}
@@ -199,12 +217,17 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		sent, recv     []int // per local VP items
 		comm           int64
 		maxMsg, maxCtx int
+		stallNS        int64     // time blocked in Wait (recording only)
 		finish         time.Time // when this proc's work ended (recording only)
 	}
 
 	prevOps := make([]int64, p)
 	for i, a := range arrays {
 		prevOps[i] = a.Stats().ParallelOps
+	}
+	prevBlocks := make([]int64, p)
+	for i, a := range arrays {
+		prevBlocks[i] = a.Stats().BlocksMoved
 	}
 
 	// Per-proc h-relation accounting, reused across rounds like the scratch.
@@ -214,6 +237,8 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		sentItems[i] = make([]int, localV)
 		recvItems[i] = make([]int, localV)
 	}
+
+	pf := K / 2
 
 	// emcgm:barrier(send=chans,rounds=v)
 	runProc := func(i, round int) (out procOut) {
@@ -242,84 +267,171 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}()
 		arr := arrays[i]
 		scr := scrs[i]
+		pend := pends[i]
+		routePend := routePends[i]
 		readM := matrices[i][round%2]
 		readLen := slotLen[i][round%2]
 		writeParity := (round + 1) % 2
-		ctxOps, msgOps := int64(0), int64(0)
-		last := prevOps[i]
-		account := func(isCtx bool) {
-			now := arr.Stats().ParallelOps
-			if isCtx {
-				ctxOps += now - last
-			} else {
-				msgOps += now - last
+
+		drain := func() {
+			for k := range pend {
+				_ = pend[k].reads.Wait() // error path; the reported error wins
+				_ = pend[k].writes.Wait()
 			}
-			last = now
+			for k := range routePend {
+				_ = routePend[k].Wait()
+			}
+		}
+
+		wait := func(ps *pdm.PendingSet) error {
+			if rec == nil {
+				return ps.Wait()
+			}
+			if ps.Len() == 0 {
+				return nil
+			}
+			t0 := time.Now()
+			err := ps.Wait()
+			out.stallNS += time.Since(t0).Nanoseconds()
+			rec.SpanSince(track, stallName, "wait", t0)
+			return err
+		}
+
+		lastOps, lastBlocks := prevOps[i], prevBlocks[i]
+		bank := func(sl *vpInflight, isCtx bool) {
+			s := arr.Stats()
+			if isCtx {
+				sl.ctxOps += s.ParallelOps - lastOps
+			} else {
+				sl.msgOps += s.ParallelOps - lastOps
+			}
+			sl.blocks += s.BlocksMoved - lastBlocks
+			lastOps, lastBlocks = s.ParallelOps, s.BlocksMoved
+		}
+
+		beginReads := func(l int) error {
+			sl := &pend[l%K]
+			s := scr.img[l%K]
+			pf := rec.Begin(track, "prefetch", "prefetch")
+			if !cacheCtx {
+				if err := layout.BeginReadStripedScratch(arr, 0, l*cb, s.ctxImg[:ctxLen[i][l]*cfg.B], &s.lay, &sl.reads); err != nil {
+					pf.End()
+					return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, i*localV+l, err)
+				}
+				bank(sl, true)
+			}
+			if round > 0 {
+				s.reqs, s.bufs = s.reqs[:0], s.bufs[:0]
+				for src := 0; src < v; src++ {
+					nb := readLen[readM.SlotIndex(l, src)]
+					s.reqs = readM.AppendSlotPrefix(s.reqs, l, src, nb)
+					s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
+				}
+				if _, err := layout.BeginReadFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
+					pf.End()
+					return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, i*localV+l, err)
+				}
+				bank(sl, false)
+			}
+			pf.End()
+			return nil
+		}
+
+		// Round prologue: burst the window's first pf prefetches so the
+		// per-disk workers can coalesce the whole read-ahead.
+		for m := 0; m < pf && m < localV; m++ {
+			if err := beginReads(m); err != nil {
+				drain()
+				out.err = err
+				return out
+			}
 		}
 
 		doneLocal := false
 		for l := 0; l < localV; l++ {
 			j := i*localV + l
-			var ssCtx0, ssMsg0, ssBlk0 int64
+			cur := l % K
+			sl := &pend[cur]
+			s := scr.img[cur]
 			ss := rec.Begin(track, "superstep", "superstep")
-			if rec != nil {
-				ssCtx0, ssMsg0, ssBlk0 = ctxOps, msgOps, arr.Stats().BlocksMoved
+
+			if pf == 0 {
+				// K = 1: the slot's write-behind lands before its reload.
+				if err := wait(&sl.writes); err != nil {
+					ss.End()
+					drain()
+					out.err = fmt.Errorf("core: round %d vp %d: write back: %w", round, j, err)
+					return out
+				}
+				if err := beginReads(l); err != nil {
+					ss.End()
+					drain()
+					out.err = err
+					return out
+				}
 			}
-			// (a) Context in (skipped when resident).
+
+			// (a)+(b) Context and inbox were prefetched; wait for them.
+			if err := wait(&sl.reads); err != nil {
+				ss.End()
+				drain()
+				out.err = fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
+				return out
+			}
 			var state []T
 			if cacheCtx {
 				state = cached[i]
 			} else {
-				sp := rec.Begin(track, "ctx read", "phase")
 				var err error
-				state, err = readCtx(i, l)
+				state, err = decodeCtx(codec, s.ctxImg[:ctxLen[i][l]*cfg.B])
 				if err != nil {
-					sp.End()
 					ss.End()
-					out.err = fmt.Errorf("core: round %d vp %d: read context: %w", round, j, err)
+					drain()
+					out.err = fmt.Errorf("core: round %d vp %d: %w", round, j, err)
 					return out
 				}
-				sp.End()
-				account(true)
 			}
-			// (b) Inbox in.
 			inbox := make([][]T, v)
 			if round > 0 {
-				sp := rec.Begin(track, "inbox read", "phase")
-				scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
 				for src := 0; src < v; src++ {
 					nb := readLen[readM.SlotIndex(l, src)]
-					scr.reqs = readM.AppendSlotPrefix(scr.reqs, l, src, nb)
-					scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
-				}
-				if _, err := layout.ReadFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
-					sp.End()
-					ss.End()
-					out.err = fmt.Errorf("core: round %d vp %d: read inbox: %w", round, j, err)
-					return out
-				}
-				for src := 0; src < v; src++ {
-					nb := readLen[readM.SlotIndex(l, src)]
-					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
+					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
 					if err != nil {
-						sp.End()
 						ss.End()
+						drain()
 						out.err = fmt.Errorf("core: round %d vp %d: message from %d: %w", round, j, src, err)
 						return out
 					}
 					inbox[src] = msg
 					out.recv[l] += len(msg)
 				}
-				sp.End()
-				account(false)
 			}
-			// (c) Compute.
+
+			// Slide the window: the slot VP l+pf prefetches into still
+			// backs VP l+pf−K's write-behind.
+			if m := l + pf; pf > 0 && m < localV {
+				if err := wait(&pend[m%K].writes); err != nil {
+					ss.End()
+					drain()
+					out.err = fmt.Errorf("core: round %d vp %d: write back: %w", round, i*localV+m-K, err)
+					return out
+				}
+				if err := beginReads(m); err != nil {
+					ss.End()
+					drain()
+					out.err = err
+					return out
+				}
+			}
+
+			// (c) Compute, with the window's reads in flight underneath.
 			cp := rec.Begin(track, "compute", "phase")
 			vp := &cgm.VP[T]{ID: j, V: v, State: state}
 			outbox, done := prog.Round(vp, round, inbox)
 			cp.End()
 			if outbox != nil && len(outbox) != v {
 				ss.End()
+				drain()
 				out.err = fmt.Errorf("core: vp %d round %d returned outbox of length %d, want %d or nil",
 					j, round, len(outbox), v)
 				return out
@@ -328,6 +440,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				doneLocal = done
 			} else if done != doneLocal {
 				ss.End()
+				drain()
 				out.err = fmt.Errorf("core: vp %d disagreed on termination at round %d", j, round)
 				return out
 			}
@@ -360,81 +473,131 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			}
 			sp.End()
 			sentVPs++
-			// (e) Context out (or keep resident).
+			// (e) Begin the context write-behind (or keep resident).
 			if len(vp.State) > out.maxCtx {
 				out.maxCtx = len(vp.State)
 			}
 			if cacheCtx {
 				if len(vp.State) > g.maxCtx {
 					ss.End()
+					drain()
 					out.err = fmt.Errorf("core: round %d vp %d: context of %d items exceeds μ = %d",
 						round, j, len(vp.State), g.maxCtx)
 					return out
 				}
 				cached[i] = vp.State
 			} else {
-				wp := rec.Begin(track, "ctx write", "phase")
-				if err := writeCtx(i, l, vp.State); err != nil {
+				wp := rec.Begin(track, "ctx write", "writeback")
+				nb, err := encodeCtxInto(codec, g, vp.State, s.ctxImg)
+				if err != nil {
 					wp.End()
 					ss.End()
+					drain()
+					out.err = fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
+					return out
+				}
+				ctxLen[i][l] = nb
+				s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*cfg.B], cfg.B)
+				if err := layout.BeginWriteStripedScratch(arr, 0, l*cb, s.bufs, &s.lay, &sl.writes); err != nil {
+					wp.End()
+					ss.End()
+					drain()
 					out.err = fmt.Errorf("core: round %d vp %d: write context: %w", round, j, err)
 					return out
 				}
 				wp.End()
-				account(true)
+				bank(sl, true)
 			}
+			out.ctxOps += sl.ctxOps
+			out.msgOps += sl.msgOps
 			if rec != nil {
 				ss.EndIO(obs.SuperstepIO{Proc: i, Round: round, VP: j, Label: "superstep",
-					CtxOps: ctxOps - ssCtx0, MsgOps: msgOps - ssMsg0,
-					Blocks: arr.Stats().BlocksMoved - ssBlk0})
+					CtxOps: sl.ctxOps, MsgOps: sl.msgOps, Blocks: sl.blocks})
+			}
+			sl.reset()
+		}
+
+		// The route phase reuses the scratch ring; the VP loop's
+		// write-behind must land first.
+		for k := range pend {
+			if err := wait(&pend[k].writes); err != nil {
+				drain()
+				out.err = fmt.Errorf("core: round %d proc %d: write back: %w", round, i, err)
+				return out
 			}
 		}
 
 		// Receive exactly v batches (one per virtual processor in the
-		// machine) and lay their messages out for the next superstep.
-		var rtMsg0, rtBlk0 int64
+		// machine) and lay their messages out for the next superstep,
+		// pipelined over the ring: encode batch n while up to K−1 earlier
+		// batches' blocks are still being written — the same burst the VP
+		// loop gives the coalescing workers, now on the write side.
 		rt := rec.Begin(track, "route batches", "route")
-		if rec != nil {
-			rtMsg0, rtBlk0 = msgOps, arr.Stats().BlocksMoved
-		}
 		writeM := matrices[i][writeParity]
 		writeLen := slotLen[i][writeParity]
+		var rtOps, rtBlocks int64
+		nb := 0
 		for got := 0; got < v; got++ {
 			b := <-chans[i]
 			if b.final {
 				continue
 			}
-			scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
+			s := scr.img[nb%K]
+			if err := wait(&routePend[nb%K]); err != nil {
+				rt.End()
+				drain()
+				out.err = fmt.Errorf("core: round %d proc %d: write batch: %w", round, i, err)
+				return out
+			}
+			s.reqs, s.bufs = s.reqs[:0], s.bufs[:0]
 			for dl := 0; dl < localV; dl++ {
-				nb, err := encodeMsgInto(codec, g, b.msgs[dl], scr.flat[dl*bpm*cfg.B:(dl+1)*bpm*cfg.B])
+				nb, err := encodeMsgInto(codec, g, b.msgs[dl], s.flat[dl*bpm*cfg.B:(dl+1)*bpm*cfg.B])
 				if err != nil {
 					rt.End()
+					drain()
 					out.err = fmt.Errorf("vp %d round %d → %d: %w", b.srcVP, round, i*localV+dl, err)
 					return out
 				}
 				writeLen[writeM.SlotIndex(dl, b.srcVP)] = nb
-				scr.reqs = writeM.AppendSlotPrefix(scr.reqs, dl, b.srcVP, nb)
-				scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[dl*bpm*cfg.B:(dl*bpm+nb)*cfg.B], cfg.B)
+				s.reqs = writeM.AppendSlotPrefix(s.reqs, dl, b.srcVP, nb)
+				s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[dl*bpm*cfg.B:(dl*bpm+nb)*cfg.B], cfg.B)
 			}
-			if _, err := layout.WriteFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
+			if _, err := layout.BeginWriteFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &routePend[nb%K]); err != nil {
 				rt.End()
+				drain()
 				out.err = fmt.Errorf("core: round %d proc %d: write batch from vp %d: %w", round, i, b.srcVP, err)
 				return out
 			}
-			account(false)
+			st := arr.Stats()
+			rtOps += st.ParallelOps - lastOps
+			rtBlocks += st.BlocksMoved - lastBlocks
+			lastOps, lastBlocks = st.ParallelOps, st.BlocksMoved
+			nb++
 		}
+		// The next round's prologue reuses the scratch images; the route
+		// write-behind must land before this processor leaves the barrier.
+		for k := range routePend {
+			if err := wait(&routePend[k]); err != nil {
+				rt.End()
+				drain()
+				out.err = fmt.Errorf("core: round %d proc %d: write batch: %w", round, i, err)
+				return out
+			}
+		}
+		out.msgOps += rtOps
 		if rec != nil {
 			rt.EndIO(obs.SuperstepIO{Proc: i, Round: round, VP: -1, Label: "route",
-				MsgOps: msgOps - rtMsg0, Blocks: arr.Stats().BlocksMoved - rtBlk0})
+				MsgOps: rtOps, Blocks: rtBlocks})
 			out.finish = time.Now()
 		}
 
 		out.done = doneLocal
-		out.ctxOps, out.msgOps = ctxOps, msgOps
-		prevOps[i] = last
+		prevOps[i] = lastOps
+		prevBlocks[i] = lastBlocks
 		return out
 	}
 
+	var stallNS int64
 	const maxRounds = 1 << 20
 	for round := 0; ; round++ {
 		if round >= maxRounds {
@@ -475,6 +638,7 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			res.CtxOps += outs[i].ctxOps
 			res.MsgOps += outs[i].msgOps
 			res.CommItems += outs[i].comm
+			stallNS += outs[i].stallNS
 			if outs[i].maxMsg > res.MaxMsgObserved {
 				res.MaxMsgObserved = outs[i].maxMsg
 			}
@@ -498,6 +662,11 @@ func runPar[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}
 	}
 
+	if rec != nil {
+		rec.Counter("core_stall_ns").Add(stallNS)
+	}
+	res.Stall = time.Duration(stallNS)
+	res.Depth = K
 	res.IOPerProc = make([]pdm.IOStats, p)
 	for i, a := range arrays {
 		res.IOPerProc[i] = a.Stats()

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/pdm"
 	"repro/internal/wordcodec"
 )
@@ -302,11 +301,9 @@ func TestRecycleAfterFault(t *testing.T) {
 	}
 }
 
-// TestRingShape pins the right-sized ring of the parallel pipelined
-// driver: with localV < K, the slots from localV up hold no context image
-// and a localV·bpm route image, the slots below stay full working sets,
-// and growth (the recorder-driven adaptation) appends slots of the same
-// shape without touching the existing ones.
+// TestRingShape pins the right-sized ring of the parallel driver: with
+// localV < K, the slots from localV up hold no context image and a
+// localV·bpm route image, and the slots below stay full working sets.
 func TestRingShape(t *testing.T) {
 	const v, localV, cb, bpm, b = 8, 2, 3, 5, 4
 	shape := ringShape{full: localV, cb: cb, flatBlocks: v * bpm, routeBlocks: localV * bpm, b: b}
@@ -325,58 +322,10 @@ func TestRingShape(t *testing.T) {
 			}
 		}
 	}
-	ring, pend := growRing(nil, nil, 4, shape)
-	check(ring, pend, 4)
-	first := slices.Clone(ring)
-	ring, pend = growRing(ring, pend, 8, shape)
-	check(ring, pend, 8)
-	if !slices.Equal(ring[:4], first) {
-		t.Error("growth replaced existing slots")
-	}
-	releaseRing(ring...)
-}
-
-// TestRingShapeAdaptation drives the adaptation end to end on a machine
-// whose ring outgrows its VP slots (v=16, p=4: localV=4, auto K=8 → 16):
-// slow disks make the recorded stall dominate, so the ring doubles, and
-// the run — whose route phase now cycles batches through route-only
-// slots — must still match the synchronous schedule. Result.Depth is
-// the grown ring; fixed depths still resolve to min(k, v), not to
-// localV.
-func TestRingShapeAdaptation(t *testing.T) {
-	const v, p, n = 16, 4, 64
-	prog := chaosProgram{Seed: 5, K: 3}
-	in := make([]int64, n)
-	for i := range in {
-		in[i] = mix(int64(i))
-	}
-	parts := cgm.Scatter(in, v)
-	base := Config{V: v, P: p, D: 2, B: 8, MaxMsgItems: 4 * n, MaxCtxItems: 8*n + 16}
-
-	off := base
-	off.Pipeline = PipelineOff
-	want := runRecycle(t, prog, off, true, "", parts)
-
-	auto := base
-	auto.Recorder = obs.NewRecorder()
-	auto.NewDisk = func(int, int) pdm.Disk { return pdm.NewDelayDisk(pdm.NewMemDisk(8), 20*time.Microsecond) }
-	res, err := RunPar[int64](prog, wordcodec.I64{}, auto, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Depth != v {
-		t.Errorf("adapted Depth = %d, want %d (auto 8 doubled to the cap v)", res.Depth, v)
-	}
-	if err := sameRun(recycleRun{res: want.res}, recycleRun{res: res}); err != nil {
-		t.Errorf("adapted run: %v", err)
-	}
-
-	fixed := base
-	fixed.PipelineDepth = 6
-	if got := runRecycle(t, prog, fixed, true, "", parts); got.res.Depth != 6 {
-		t.Errorf("fixed Depth = %d, want 6", got.res.Depth)
-	} else if err := sameRun(want, got); err != nil {
-		t.Errorf("fixed depth 6: %v", err)
+	for _, k := range []int{1, 4, 8} {
+		ring, pend := shape.ring(k)
+		check(ring, pend, k)
+		releaseRing(ring...)
 	}
 }
 

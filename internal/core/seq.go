@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cgm"
 	"repro/internal/layout"
@@ -10,6 +11,23 @@ import (
 	"repro/internal/wordcodec"
 )
 
+// vpInflight is one pipeline slot of a superstep driver: the split-phase
+// handles of the slot's in-flight reads and writes, plus the operation
+// counts banked for its superstep's trace row. Accounting is charged at
+// begin time, so the driver snapshots counter deltas as it begins each
+// operation group; the deltas are exact because only the driver goroutine
+// begins operations on its array.
+type vpInflight struct {
+	reads, writes  pdm.PendingSet
+	ctxOps, msgOps int64
+	blocks         int64
+}
+
+// reset zeroes the banked counts after their trace row is emitted.
+func (sl *vpInflight) reset() {
+	sl.ctxOps, sl.msgOps, sl.blocks = 0, 0, 0
+}
+
 // runSeq is Algorithm 2: SeqCompoundSuperstep iterated until the program
 // finishes. One real processor, D disks.
 //
@@ -17,19 +35,37 @@ import (
 // [j·cb, (j+1)·cb) from track 0 — followed by the single-copy staggered
 // message matrix with Observation 2's alternating placement.
 //
-// All transient storage of the round loop lives in one superstepScratch,
-// so steady-state supersteps allocate only the decoded item slices handed
-// to the program. The parallel I/O sequence is identical to the scratch-
-// free formulation: the PDM accounting is invariant under this reuse.
+// The superstep loop is software-pipelined over a ring of K
+// superstepScratch slots (VP j owns slot j mod K). The window slides with
+// a prefetch distance of pf = ⌊K/2⌋: while VP j computes out of its slot,
+// the contexts and inboxes of VPs j+1 … j+pf are already being read, and
+// the writes of VPs back to j−(K−pf) drain as write-behind that the
+// driver only waits for when their slot is about to be reused. At K = 1
+// there is no read-ahead: every operation is issued in the paper's
+// synchronous order, which makes K = 1 the reference schedule. Deeper
+// rings hide more latency and keep ≥ K conflict-free transfers queued per
+// disk for the batching workers to coalesce.
 //
-// This body is the synchronous reference schedule (PipelineOff): every
-// parallel I/O runs to completion before the next phase. Under the
-// default PipelineOn it dispatches to runSeqPipelined, which overlaps the
-// same operations with compute — see seqpipe.go.
+// Each round opens with a burst: the window's first pf prefetches are
+// issued back to back, in synchronous order, before any superstep runs —
+// that burst is what lets the per-disk workers fuse the window's
+// ascending-track transfers into large vectored calls instead of seeing
+// them trickle in one VP at a time.
+//
+// Every depth issues the same operation multiset, addresses, and cycle
+// packing — only the begin order changes: the reads of VPs j+1 … j+pf are
+// hoisted above the writes of VP j. That hoist is address-disjoint within
+// a round (Observation 2: VP j's outbox writes land in the slots its own
+// inbox freed, and context runs are per-VP), no prefetch crosses a round
+// boundary, and the per-disk work queues are FIFO, so every write→read
+// dependency still executes in begin order. With accounting charged at
+// begin time the PDM counts are therefore bit-identical to K = 1 at every
+// depth, which the equivalence tests pin.
+//
+// All transient storage of the round loop lives in the ring, so
+// steady-state supersteps allocate only the decoded item slices handed to
+// the program.
 func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, inputs [][]T) (*Result[T], error) {
-	if cfg.Pipeline == PipelineOn {
-		return runSeqPipelined(prog, codec, cfg, inputs)
-	}
 	v := cfg.V
 	if len(inputs) != v {
 		return nil, fmt.Errorf("core: %d input partitions for V = %d", len(inputs), v)
@@ -38,71 +74,81 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 	cb, bpm := g.cb, g.bpm // blocks per context, per message slot (b′)
 	ctxTracks := (v*cb+cfg.D-1)/cfg.D + 1
 
-	if cfg.M > 0 {
-		// One context + one full inbox, plus the live-length tables.
-		need := cb*cfg.B + v*bpm*cfg.B + lengthTableWords(v, v, false)
-		if need > cfg.M {
-			return nil, fmt.Errorf("core: superstep working set %d words exceeds M = %d (μ=%d items, slot=%d items × V=%d)",
-				need, cfg.M, g.maxCtx, g.maxMsg, v)
-		}
+	// The ring holds K superstep working sets at once, beside the
+	// live-length tables; resolve its depth against the memory bound.
+	slotBlocks := cb + v*bpm
+	K, err := pipeDepth(cfg, v, slotBlocks*cfg.B, lengthTableWords(v, v, false))
+	if err != nil {
+		return nil, err
 	}
 
 	matrix, err := layout.NewMatrix(v, bpm, cfg.D, ctxTracks)
 	if err != nil {
 		return nil, err
 	}
-	arr, err := cfg.newArray(0, 0)
+	shape := ringShape{full: v, cb: cb, flatBlocks: v * bpm, b: cfg.B} // K ≤ v: every slot is a VP slot
+	arr, err := cfg.newArray(0, shape.queueHint(K, cfg.D))
 	if err != nil {
 		return nil, err
 	}
-	scr := newSuperstepScratch(cb, v*bpm, cfg.B)
+	scr, pend := shape.ring(K)
 	defer func() {
 		_ = arr.Close() // cleanup path; I/O errors already surfaced per op
-		releaseRing(scr)
+		releaseRing(scr...)
 	}()
 
 	rec := cfg.Recorder
 	var track obs.TrackID
+	stallName := "stall"
 	if rec != nil {
 		track = rec.Track("proc 0")
 		arr.SetRecorder(rec, 0)
+		rec.Gauge("core_p0_pipeline_depth", func() int64 { return int64(K) })
+		stallName = fmt.Sprintf("stall k=%d", K)
 	}
 
 	res := &Result[T]{Outputs: make([][]T, v)}
 
 	// Live-length tables: the blocks each context run and each physical
 	// message slot currently holds. Slots are keyed by (region, slot), so
-	// Observation 2's alternation needs no bookkeeping of its own.
+	// Observation 2's alternation needs no bookkeeping of its own. A table
+	// entry is read when its transfer begins and rewritten only by the VP
+	// whose inbox the slot belongs to, after that VP has decoded it — the
+	// same address disjointness that lets the window hoist reads above
+	// writes.
 	ctxLen := make([]int, v)
 	slotLen := make([]int, v*v)
 
-	writeCtx := func(j int, state []T) error {
-		nb, err := encodeCtxInto(codec, g, state, scr.ctxImg)
-		if err != nil {
-			return fmt.Errorf("vp %d: %w", j, err)
+	// drain waits out every in-flight operation before an error return:
+	// no handle leaks, no worker left holding a buffer reference. The
+	// drained errors are deliberately dropped — the caller's error is the
+	// one being reported.
+	drain := func() {
+		for i := range pend {
+			_ = pend[i].reads.Wait()
+			_ = pend[i].writes.Wait()
 		}
-		if len(state) > res.MaxCtxObserved {
-			res.MaxCtxObserved = len(state)
-		}
-		ctxLen[j] = nb
-		scr.bufs = layout.SplitBlocksInto(scr.bufs[:0], scr.ctxImg[:nb*cfg.B], cfg.B)
-		return layout.WriteStripedScratch(arr, 0, j*cb, scr.bufs, &scr.lay)
-	}
-	readCtx := func(j int) ([]T, error) {
-		img := scr.ctxImg[:ctxLen[j]*cfg.B]
-		if err := layout.ReadStripedScratch(arr, 0, j*cb, img, &scr.lay); err != nil {
-			return nil, err
-		}
-		return decodeCtx(codec, img)
 	}
 
-	// Input distribution: initialise and write every context.
+	// Input distribution: initialise and write every context,
+	// synchronously.
 	ledBase := rec.StepCount()
 	initSpan := rec.Begin(track, "input distribution", "init")
 	for j := 0; j < v; j++ {
 		vp := &cgm.VP[T]{ID: j, V: v}
 		prog.Init(vp, inputs[j])
-		if err := writeCtx(j, vp.State); err != nil {
+		s := scr[0]
+		nb, err := encodeCtxInto(codec, g, vp.State, s.ctxImg)
+		if err != nil {
+			initSpan.End()
+			return nil, fmt.Errorf("vp %d: %w", j, err)
+		}
+		if len(vp.State) > res.MaxCtxObserved {
+			res.MaxCtxObserved = len(vp.State)
+		}
+		ctxLen[j] = nb
+		s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*cfg.B], cfg.B)
+		if err := layout.WriteStripedScratch(arr, 0, j*cb, s.bufs, &s.lay); err != nil {
 			initSpan.End()
 			return nil, err
 		}
@@ -113,20 +159,73 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			CtxOps: res.CtxOps, Blocks: arr.Stats().BlocksMoved})
 	}
 
-	var prevOps int64 = res.CtxOps
-	account := func(isCtx bool) {
-		now := arr.Stats().ParallelOps
+	// bank charges the ops begun since the last snapshot to slot sl's
+	// trace row, split into context vs message operations.
+	lastOps := arr.Stats().ParallelOps
+	lastBlocks := arr.Stats().BlocksMoved
+	bank := func(sl *vpInflight, isCtx bool) {
+		s := arr.Stats()
 		if isCtx {
-			res.CtxOps += now - prevOps
+			sl.ctxOps += s.ParallelOps - lastOps
 		} else {
-			res.MsgOps += now - prevOps
+			sl.msgOps += s.ParallelOps - lastOps
 		}
-		prevOps = now
+		sl.blocks += s.BlocksMoved - lastBlocks
+		lastOps, lastBlocks = s.ParallelOps, s.BlocksMoved
+	}
+
+	// beginReads prefetches VP j's context and (after round 0) inbox into
+	// scratch j mod K, charging the begun ops to that slot's row.
+	beginReads := func(j, round int) error {
+		sl := &pend[j%K]
+		s := scr[j%K]
+		pf := rec.Begin(track, "prefetch", "prefetch")
+		if err := layout.BeginReadStripedScratch(arr, 0, j*cb, s.ctxImg[:ctxLen[j]*cfg.B], &s.lay, &sl.reads); err != nil {
+			pf.End()
+			return fmt.Errorf("core: round %d vp %d: begin context read: %w", round, j, err)
+		}
+		bank(sl, true)
+		if round > 0 {
+			s.reqs, s.bufs = s.reqs[:0], s.bufs[:0]
+			for src := 0; src < v; src++ {
+				r, a := matrix.Place(round, src, j)
+				nb := slotLen[matrix.SlotIndex(r, a)]
+				s.reqs = matrix.AppendSlotPrefix(s.reqs, r, a, nb)
+				s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
+			}
+			if _, err := layout.BeginReadFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &sl.reads); err != nil {
+				pf.End()
+				return fmt.Errorf("core: round %d vp %d: begin inbox read: %w", round, j, err)
+			}
+			bank(sl, false)
+		}
+		pf.End()
+		return nil
+	}
+
+	// wait drains a pending set, charging the blocked time to the stall
+	// account when recording (the determinism contract forbids wall-clock
+	// reads otherwise). The span name carries the ring depth, so a trace
+	// shows which depth each residual stall was measured under.
+	var stallNS int64
+	wait := func(ps *pdm.PendingSet) error {
+		if rec == nil {
+			return ps.Wait()
+		}
+		if ps.Len() == 0 {
+			return nil
+		}
+		t0 := time.Now()
+		err := ps.Wait()
+		stallNS += time.Since(t0).Nanoseconds()
+		rec.SpanSince(track, stallName, "wait", t0)
+		return err
 	}
 
 	recvItems := make([]int, v)
 	sentItems := make([]int, v)
 
+	pf := K / 2
 	const maxRounds = 1 << 20
 	for round := 0; ; round++ {
 		if round >= maxRounds {
@@ -137,63 +236,90 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 			recvItems[j], sentItems[j] = 0, 0
 		}
 
+		// Round prologue: burst the window's first pf prefetches in
+		// synchronous order, so the per-disk workers see the whole
+		// read-ahead at once and can coalesce it.
+		for m := 0; m < pf && m < v; m++ {
+			if err := beginReads(m, round); err != nil {
+				drain()
+				return nil, err
+			}
+		}
+
 		for j := 0; j < v; j++ {
-			var ssCtx0, ssMsg0, ssBlk0 int64
+			cur := j % K
+			sl := &pend[cur]
+			s := scr[cur]
 			ss := rec.Begin(track, "superstep", "superstep")
-			if rec != nil {
-				ssCtx0, ssMsg0, ssBlk0 = res.CtxOps, res.MsgOps, arr.Stats().BlocksMoved
+
+			if pf == 0 {
+				// K = 1: no read-ahead — the slot's own write-behind must
+				// land before its image is reloaded.
+				if err := wait(&sl.writes); err != nil {
+					ss.End()
+					drain()
+					return nil, fmt.Errorf("core: round %d vp %d: write back: %w", round, j, err)
+				}
+				if err := beginReads(j, round); err != nil {
+					ss.End()
+					drain()
+					return nil, err
+				}
 			}
 
-			// (a) Read the context of virtual processor j.
-			sp := rec.Begin(track, "ctx read", "phase")
-			state, err := readCtx(j)
-			if err != nil {
-				sp.End()
+			// (a)+(b) Context and inbox were prefetched; wait for them.
+			if err := wait(&sl.reads); err != nil {
 				ss.End()
-				return nil, fmt.Errorf("core: round %d vp %d: read context: %w", round, j, err)
+				drain()
+				return nil, fmt.Errorf("core: round %d vp %d: read context/inbox: %w", round, j, err)
 			}
-			sp.End()
-			account(true)
-
-			// (b) Read the packets received by virtual processor j.
+			state, err := decodeCtx(codec, s.ctxImg[:ctxLen[j]*cfg.B])
+			if err != nil {
+				ss.End()
+				drain()
+				return nil, fmt.Errorf("core: round %d vp %d: %w", round, j, err)
+			}
 			inbox := make([][]T, v)
 			if round > 0 {
-				sp = rec.Begin(track, "inbox read", "phase")
-				scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
 				for src := 0; src < v; src++ {
 					r, a := matrix.Place(round, src, j)
 					nb := slotLen[matrix.SlotIndex(r, a)]
-					scr.reqs = matrix.AppendSlotPrefix(scr.reqs, r, a, nb)
-					scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B], cfg.B)
-				}
-				if _, err := layout.ReadFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
-					sp.End()
-					ss.End()
-					return nil, fmt.Errorf("core: round %d vp %d: read inbox: %w", round, j, err)
-				}
-				for src := 0; src < v; src++ {
-					r, a := matrix.Place(round, src, j)
-					nb := slotLen[matrix.SlotIndex(r, a)]
-					msg, err := decodeMsg(codec, scr.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
+					msg, err := decodeMsg(codec, s.flat[src*bpm*cfg.B:(src*bpm+nb)*cfg.B])
 					if err != nil {
-						sp.End()
 						ss.End()
+						drain()
 						return nil, fmt.Errorf("core: round %d vp %d: message from %d: %w", round, j, src, err)
 					}
 					inbox[src] = msg
 					recvItems[j] += len(msg)
 				}
-				sp.End()
-				account(false)
 			}
 
-			// (c) Simulate the local computation.
-			sp = rec.Begin(track, "compute", "phase")
+			// Slide the window: the slot VP j+pf is about to prefetch into
+			// still backs VP j+pf−K's write-behind; it must land before the
+			// image is reused.
+			if m := j + pf; pf > 0 && m < v {
+				if err := wait(&pend[m%K].writes); err != nil {
+					ss.End()
+					drain()
+					return nil, fmt.Errorf("core: round %d vp %d: write back: %w", round, m-K, err)
+				}
+				if err := beginReads(m, round); err != nil {
+					ss.End()
+					drain()
+					return nil, err
+				}
+			}
+
+			// (c) Simulate the local computation — the prefetched reads of
+			// VPs j+1 … j+pf are now in flight underneath it.
+			cp := rec.Begin(track, "compute", "phase")
 			vp := &cgm.VP[T]{ID: j, V: v, State: state}
 			outbox, done := prog.Round(vp, round, inbox)
-			sp.End()
+			cp.End()
 			if outbox != nil && len(outbox) != v {
 				ss.End()
+				drain()
 				return nil, fmt.Errorf("core: vp %d round %d returned outbox of length %d, want %d or nil",
 					j, round, len(outbox), v)
 			}
@@ -201,59 +327,90 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 				doneAll = done
 			} else if done != doneAll {
 				ss.End()
+				drain()
 				return nil, fmt.Errorf("core: vp %d disagreed on termination at round %d", j, round)
 			}
 
-			// (d) Write the packets sent by virtual processor j (staggered).
+			// (d) Begin the outbox write (staggered) as write-behind.
 			if !done {
-				sp = rec.Begin(track, "outbox write", "phase")
-				scr.reqs, scr.bufs = scr.reqs[:0], scr.bufs[:0]
+				wb := rec.Begin(track, "outbox write", "writeback")
+				s.reqs = s.reqs[:0]
+				// Start the views empty but over s.flat, so the write below
+				// loans s.flat — not s.bufs, which the context write-back
+				// reuses while this write is in flight.
+				s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.flat[:0], cfg.B)
 				for dst := 0; dst < v; dst++ {
 					var msg []T
 					if outbox != nil {
 						msg = outbox[dst]
 					}
-					nb, err := encodeMsgInto(codec, g, msg, scr.flat[dst*bpm*cfg.B:(dst+1)*bpm*cfg.B])
+					nb, err := encodeMsgInto(codec, g, msg, s.flat[dst*bpm*cfg.B:(dst+1)*bpm*cfg.B])
 					if err != nil {
-						sp.End()
+						wb.End()
 						ss.End()
+						drain()
 						return nil, fmt.Errorf("vp %d round %d → %d: %w", j, round, dst, err)
 					}
-					// The slot is one VP j's inbox just vacated (Observation 2).
 					r, a := matrix.Place(round+1, j, dst)
 					slotLen[matrix.SlotIndex(r, a)] = nb
-					scr.reqs = matrix.AppendSlotPrefix(scr.reqs, r, a, nb)
-					scr.bufs = layout.SplitBlocksInto(scr.bufs, scr.flat[dst*bpm*cfg.B:(dst*bpm+nb)*cfg.B], cfg.B)
+					s.reqs = matrix.AppendSlotPrefix(s.reqs, r, a, nb)
+					s.bufs = layout.SplitBlocksInto(s.bufs, s.flat[dst*bpm*cfg.B:(dst*bpm+nb)*cfg.B], cfg.B)
 					sentItems[j] += len(msg)
 					if len(msg) > res.MaxMsgObserved {
 						res.MaxMsgObserved = len(msg)
 					}
 				}
-				if _, err := layout.WriteFIFOScratch(arr, scr.reqs, scr.bufs, &scr.lay); err != nil {
-					sp.End()
+				if _, err := layout.BeginWriteFIFOScratch(arr, s.reqs, s.bufs, &s.lay, &sl.writes); err != nil {
+					wb.End()
 					ss.End()
-					return nil, fmt.Errorf("core: round %d vp %d: write outbox: %w", round, j, err)
+					drain()
+					return nil, fmt.Errorf("core: round %d vp %d: begin outbox write: %w", round, j, err)
 				}
-				sp.End()
-				account(false)
+				wb.End()
+				bank(sl, false)
 			} else {
 				res.Outputs[j] = prog.Output(vp)
 			}
 
-			// (e) Write the changed context back (consecutive).
-			sp = rec.Begin(track, "ctx write", "phase")
-			if err := writeCtx(j, vp.State); err != nil {
-				sp.End()
+			// (e) Begin the context write-back (consecutive).
+			wb := rec.Begin(track, "ctx write", "writeback")
+			nb, err := encodeCtxInto(codec, g, vp.State, s.ctxImg)
+			if err != nil {
+				wb.End()
 				ss.End()
-				return nil, err
+				drain()
+				return nil, fmt.Errorf("vp %d: %w", j, err)
 			}
-			sp.End()
-			account(true)
+			if len(vp.State) > res.MaxCtxObserved {
+				res.MaxCtxObserved = len(vp.State)
+			}
+			ctxLen[j] = nb
+			s.bufs = layout.SplitBlocksInto(s.bufs[:0], s.ctxImg[:nb*cfg.B], cfg.B)
+			if err := layout.BeginWriteStripedScratch(arr, 0, j*cb, s.bufs, &s.lay, &sl.writes); err != nil {
+				wb.End()
+				ss.End()
+				drain()
+				return nil, fmt.Errorf("core: round %d vp %d: begin context write: %w", round, j, err)
+			}
+			wb.End()
+			bank(sl, true)
 
+			res.CtxOps += sl.ctxOps
+			res.MsgOps += sl.msgOps
 			if rec != nil {
 				ss.EndIO(obs.SuperstepIO{Proc: 0, Round: round, VP: j, Label: "superstep",
-					CtxOps: res.CtxOps - ssCtx0, MsgOps: res.MsgOps - ssMsg0,
-					Blocks: arr.Stats().BlocksMoved - ssBlk0})
+					CtxOps: sl.ctxOps, MsgOps: sl.msgOps, Blocks: sl.blocks})
+			}
+			sl.reset()
+		}
+
+		// Round epilogue: every slot's write-behind must land before the
+		// scratches are reused — and round r+1's inbox reads depend on this
+		// round's outbox writes, so no prefetch crosses the boundary.
+		for i := range pend {
+			if err := wait(&pend[i].writes); err != nil {
+				drain()
+				return nil, fmt.Errorf("core: round %d: write back: %w", round, err)
 			}
 		}
 
@@ -271,6 +428,11 @@ func runSeq[T any](prog cgm.Program[T], codec wordcodec.Codec[T], cfg Config, in
 		}
 	}
 
+	if rec != nil {
+		rec.Counter("core_p0_stall_ns").Add(stallNS)
+	}
+	res.Stall = time.Duration(stallNS)
+	res.Depth = K
 	res.IOPerProc = []pdm.IOStats{arr.Stats()}
 	res.IO = arr.Stats()
 	res.Syscalls = pdm.SyscallsOf(arr)

@@ -40,8 +40,8 @@ type Machine struct {
 	BPM      int  `json:"bpm"`
 	Rounds   int  `json:"rounds"`
 	CacheCtx bool `json:"cacheCtx,omitempty"` // parallel machine kept contexts resident
-	// Depth is the pipeline window depth the run finished with (0 =
-	// synchronous schedule). The Theorem 2/3 op-count predictor ignores
+	// Depth is the pipeline window depth the run used (1 = the
+	// synchronous issue order). The Theorem 2/3 op-count predictor ignores
 	// it — the operation multiset is depth-invariant by construction —
 	// but the overlap model (ModelWallPipelined) prices the stall curve
 	// from it. Additive and omitempty, so LedgerVersion is unchanged.

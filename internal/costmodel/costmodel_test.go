@@ -22,8 +22,10 @@ import (
 
 // runWorkload executes one named workload on the given machine axis and
 // returns the run's Result totals alongside the ledger that priced it.
-// oblivious selects the content-oblivious transfer extents.
-func runWorkload(t *testing.T, workloadName string, seq bool, pipeline core.PipelineMode, cacheCtx, oblivious bool) (*costmodel.Ledger, int64) {
+// depth is the pipeline window depth (1 = the synchronous issue order,
+// 0 = the default), and oblivious selects the content-oblivious transfer
+// extents.
+func runWorkload(t *testing.T, workloadName string, seq bool, depth int, cacheCtx, oblivious bool) (*costmodel.Ledger, int64) {
 	t.Helper()
 	const n = 1 << 12
 	v, p := 4, 2
@@ -32,7 +34,7 @@ func runWorkload(t *testing.T, workloadName string, seq bool, pipeline core.Pipe
 	}
 	rec := obs.NewRecorder()
 	led := costmodel.NewLedger(pdm.DefaultTimeModel())
-	cfg := core.Config{V: v, P: p, D: 2, B: 64, Pipeline: pipeline,
+	cfg := core.Config{V: v, P: p, D: 2, B: 64, PipelineDepth: depth,
 		CacheContexts: cacheCtx, Oblivious: oblivious, Recorder: rec, Ledger: led}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
@@ -136,16 +138,21 @@ var modes = []struct {
 
 // TestLedgerReconciles is the tentpole invariant: for every workload ×
 // machine × schedule combination, in both extent modes, the ledger
-// reconciles (see checkLedger).
+// reconciles (see checkLedger). pipe=false is depth 1, the synchronous
+// issue order; pipe=true is the default depth.
 func TestLedgerReconciles(t *testing.T) {
 	for _, w := range []string{"sort", "permute", "transpose"} {
 		for _, seq := range []bool{true, false} {
-			for _, pipe := range []core.PipelineMode{core.PipelineOff, core.PipelineOn} {
-				name := fmt.Sprintf("%s/seq=%v/pipe=%v", w, seq, pipe == core.PipelineOn)
+			for _, pipe := range []bool{false, true} {
+				depth := 1
+				if pipe {
+					depth = 0
+				}
+				name := fmt.Sprintf("%s/seq=%v/pipe=%v", w, seq, pipe)
 				t.Run(name, func(t *testing.T) {
 					for _, m := range modes {
 						t.Run(m.name, func(t *testing.T) {
-							led, ops := runWorkload(t, w, seq, pipe, false, m.oblivious)
+							led, ops := runWorkload(t, w, seq, depth, false, m.oblivious)
 							if run := checkLedger(t, led, ops, m.oblivious); run.WallNs <= 0 {
 								t.Fatalf("run wall = %d ns, want > 0", run.WallNs)
 							}
@@ -162,7 +169,7 @@ func TestLedgerReconciles(t *testing.T) {
 func TestLedgerReconcilesCachedContexts(t *testing.T) {
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			led, ops := runWorkload(t, "permute", false, core.PipelineOff, true, m.oblivious)
+			led, ops := runWorkload(t, "permute", false, 1, true, m.oblivious)
 			if run := checkLedger(t, led, ops, m.oblivious); !run.Machine.CacheCtx {
 				t.Fatal("machine should record CacheCtx")
 			}
@@ -174,7 +181,7 @@ func TestLedgerReconcilesCachedContexts(t *testing.T) {
 // exactly 1 for an oblivious run, below 1 for a live one.
 func TestLedgerSummaryLiveRatio(t *testing.T) {
 	for _, m := range modes {
-		led, _ := runWorkload(t, "sort", false, core.PipelineOn, false, m.oblivious)
+		led, _ := runWorkload(t, "sort", false, 0, false, m.oblivious)
 		ratio := led.Runs()[0].LiveRatio()
 		if m.oblivious != (ratio == 1) || ratio <= 0 || ratio > 1 {
 			t.Errorf("%s: live/oblivious ratio %v", m.name, ratio)
@@ -190,8 +197,9 @@ func TestLedgerSummaryLiveRatio(t *testing.T) {
 // TestLedgerModelTracksDelayDisk is the stated modelled-vs-measured
 // tolerance: on a fixed-delay DelayDisk, after calibrating the TimeModel
 // from the run's own per-disk samples, the ledger's modelled wall time
-// must land within 30% of the measured wall time on the synchronous
-// sequential schedule (where every parallel I/O is on the critical path).
+// must land within 30% of the measured wall time on the sequential
+// machine at depth 1, the synchronous issue order (where every parallel
+// I/O is on the critical path).
 func TestLedgerModelTracksDelayDisk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sleeps real time")
@@ -201,7 +209,7 @@ func TestLedgerModelTracksDelayDisk(t *testing.T) {
 	v := 4
 	rec := obs.NewRecorder()
 	led := costmodel.NewLedger(pdm.DefaultTimeModel())
-	cfg := core.Config{V: v, P: 1, D: 2, B: 64, Pipeline: core.PipelineOff,
+	cfg := core.Config{V: v, P: 1, D: 2, B: 64, PipelineDepth: 1,
 		Recorder: rec, Ledger: led,
 		NewDisk: func(proc, disk int) pdm.Disk {
 			return pdm.NewDelayDisk(pdm.NewMemDisk(64), delay)
@@ -304,7 +312,7 @@ func TestValidateRejectsLedgerWithoutRecorder(t *testing.T) {
 
 // TestLedgerJSONRoundTrip pins the export schema version and shape.
 func TestLedgerJSONRoundTrip(t *testing.T) {
-	led, _ := runWorkload(t, "permute", true, core.PipelineOff, false, false)
+	led, _ := runWorkload(t, "permute", true, 1, false, false)
 	var buf bytes.Buffer
 	if err := led.WriteJSON(&buf); err != nil {
 		t.Fatalf("write: %v", err)

@@ -25,40 +25,6 @@ import (
 //     workers fuse — so the effective per-block service time falls from
 //     BlockTime(b) toward BatchTime(b, k)/k as positioning amortises.
 
-// autoDepthMin/autoDepthMax clamp AutoDepth's model-driven choice. The
-// floor keeps the window at least the PR 5 ping-pong; the ceiling keeps
-// the initial guess modest — the online adaptation, not the static
-// model, is responsible for going deeper when measurement justifies it.
-const (
-	autoDepthMin = 2
-	autoDepthMax = 8
-)
-
-// AutoDepth picks the initial pipeline window depth for block size b
-// under time model tm: the smallest k whose coalesced k-track batch
-// amortises the fixed positioning cost (seek + half a rotation) below
-// one block's transfer time, clamped to [2, 8]. Positioning-dominated
-// disks (real seeks, O_DIRECT files) get deep windows; transfer-
-// dominated models (memory, fixed-delay) get the minimum. The result is
-// a pure function of the model, so the chosen depth — and with it the
-// begin order — is part of the configuration, not the measurement.
-func AutoDepth(tm pdm.TimeModel, b int) int {
-	pos := tm.Seek + tm.Rotate/2
-	xfer := tm.BlockTime(b) - pos
-	if xfer <= 0 {
-		return autoDepthMax
-	}
-	// Amortised positioning pos/k drops below one transfer at k ≥ pos/x.
-	k := int(pos/xfer) + 1
-	if k < autoDepthMin {
-		k = autoDepthMin
-	}
-	if k > autoDepthMax {
-		k = autoDepthMax
-	}
-	return k
-}
-
 // OverlapPoint is one (depth, predicted stall) sample of the stall curve.
 type OverlapPoint struct {
 	Depth     int
@@ -71,9 +37,9 @@ type OverlapPoint struct {
 // pipelined schedule: per compound superstep, compute overlaps the
 // window's read-ahead and write-behind, and whatever I/O time neither
 // side hides is residual stall. compute is the per-superstep compute
-// time (calibrated from a synchronous run: wall/steps minus the modelled
-// I/O time); k ≤ 1 degenerates to the fully synchronous schedule where
-// every superstep pays its whole I/O time.
+// time (calibrated from a k=1 run: wall/steps minus the modelled I/O
+// time); k ≤ 1 is the synchronous issue order, where every superstep
+// pays its whole I/O time.
 //
 // The returned point is per real processor — multiply Stall by P to
 // compare against RunTotals.Stall, which sums over processors.

@@ -7,32 +7,6 @@ import (
 	"repro/internal/pdm"
 )
 
-// TestAutoDepth pins the static depth policy: positioning-dominated
-// models get the deep end, pure-transfer models the shallow end, and the
-// result is always inside [2, 8].
-func TestAutoDepth(t *testing.T) {
-	// The 1990s default model: 10ms seek against a 5MB/s transfer —
-	// positioning dominates any sane block size, so auto maxes out.
-	if k := AutoDepth(pdm.DefaultTimeModel(), 512); k != autoDepthMax {
-		t.Errorf("default model B=512: k = %d, want %d", k, autoDepthMax)
-	}
-	// Pure transfer (no positioning): nothing to amortise, the floor.
-	flat := pdm.TimeModel{TransferBytesPerSec: 5e6}
-	if k := AutoDepth(flat, 512); k != autoDepthMin {
-		t.Errorf("pure transfer B=512: k = %d, want %d", k, autoDepthMin)
-	}
-	// Degenerate model (zero transfer rate → BlockTime is all
-	// positioning): still clamped to the maximum, never unbounded.
-	if k := AutoDepth(pdm.TimeModel{Seek: time.Millisecond}, 64); k != autoDepthMax {
-		t.Errorf("degenerate model: k = %d, want %d", k, autoDepthMax)
-	}
-	// Middle of the range: positioning ≈ 2.5 transfers → k = 3.
-	mid := pdm.TimeModel{Seek: 10 * time.Millisecond, TransferBytesPerSec: float64(8 * 512 * 250)}
-	if k := AutoDepth(mid, 512); k < autoDepthMin || k > autoDepthMax {
-		t.Errorf("mid model: k = %d outside [%d, %d]", k, autoDepthMin, autoDepthMax)
-	}
-}
-
 // TestModelWallPipelined pins the shape of the predicted stall curve:
 // stall is non-increasing in k, the synchronous point (k=1) pays the
 // whole I/O time, and a deep enough window on a compute-heavy run hides
@@ -56,7 +30,7 @@ func TestModelWallPipelined(t *testing.T) {
 				pts[i].Depth, pts[i].Stall, pts[i-1].Depth, pts[i-1].Stall)
 		}
 	}
-	// k=1 is the synchronous schedule: its stall is the run's whole
+	// k=1 is the synchronous issue order: its stall is the run's whole
 	// modelled I/O time per processor at unbatched service times.
 	steps := r.Machine.Rounds * r.Machine.LocalV()
 	perProc := r.PredOps / int64(r.Machine.P)

@@ -17,16 +17,16 @@ import (
 	"repro/internal/workload"
 )
 
-// depthSweepKs are the fixed window depths the sweep measures, plus 0 —
-// the auto policy, whose row reports the ring depth it resolved (and
-// possibly grew) to.
-var depthSweepKs = []int{1, 2, 4, 8, 0}
+// depthSweepKs are the window depths the sweep measures beyond the
+// depth-1 reference; 8 is the default depth.
+var depthSweepKs = []int{2, 4, 8}
 
 // DepthSweep measures the stall-fraction-vs-k curve of the depth-k
 // pipelined schedule on the sorting workload: for each window depth it
 // reports the resolved ring depth, the wall clock, the measured stall
 // fraction, the overlap model's predicted stall fraction, and the
-// speedup over the synchronous reference. Two substrates:
+// speedup over depth 1, the synchronous issue order (the "sync" row).
+// Two substrates:
 //
 //   - mem+delay: MemDisk behind a latency-calibrated DelayDisk (the
 //     balanced regime, exactly as in Pipeline) — the depth dividend here
@@ -37,8 +37,8 @@ var depthSweepKs = []int{1, 2, 4, 8, 0}
 //     longer conflict-free runs to coalesce into vectored syscalls.
 //
 // Every run carries a recorder (stall is only measured with one
-// attached), the PDM op counts are asserted bit-identical against the
-// synchronous reference at every depth, and the predicted column comes
+// attached), the PDM op counts are asserted bit-identical against depth
+// 1 at every depth, and the predicted column comes
 // from costmodel.Run.ModelWallPipelined under a time model matching the
 // substrate (the fixed-delay disk is priced exactly; the file substrate
 // has no calibrated model, so its predicted column is blank).
@@ -54,7 +54,7 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 	if s.Rec != nil {
 		reps = 1 // keep an attached trace to one run per schedule
 	}
-	run := func(mode core.PipelineMode, depth int, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
+	run := func(depth int, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
 		var bestRes *core.Result[int64]
 		for r := 0; r < reps; r++ {
 			rec := s.Rec
@@ -62,10 +62,7 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 				rec = obs.NewRecorder()
 			}
 			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Oblivious: true, Recorder: rec,
-				Pipeline: mode, NewDisk: newDisk}
-			if mode != core.PipelineOff {
-				cfg.PipelineDepth = depth // the sync arm has no window
-			}
+				PipelineDepth: depth, NewDisk: newDisk}
 			if err := cfg.ValidateFor(s.N); err != nil {
 				return 0, 0, nil, err
 			}
@@ -85,14 +82,14 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 		return best, worst, bestRes, nil
 	}
 
-	// sweep runs the synchronous reference then the full depth ladder on
-	// one substrate. tm, when non-nil, prices the predicted column.
+	// sweep runs the depth-1 reference then the depth ladder on one
+	// substrate. tm, when non-nil, prices the predicted column.
 	sweep := func(label string, newDisk func(proc, disk int) pdm.Disk, tm *pdm.TimeModel) error {
-		syncWall, syncWorst, syncRes, err := run(core.PipelineOff, 0, newDisk)
+		syncWall, syncWorst, syncRes, err := run(1, newDisk)
 		if err != nil {
 			return fmt.Errorf("depth %s sync: %w", label, err)
 		}
-		t.AddRow(label, "sync", 0, syncWall.Round(time.Microsecond).String(),
+		t.AddRow(label, "sync", syncRes.Depth, syncWall.Round(time.Microsecond).String(),
 			trace.FormatFloat(stallFrac(syncRes.Stall, syncWall, s.P)), "-", "1.00")
 		if s.Bench != nil {
 			s.Bench.Add("depth/"+label+"/sync", reps,
@@ -103,7 +100,7 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 		}
 
 		// Calibrate the overlap model's per-superstep compute time from
-		// the synchronous run: whole-run wall per processor minus the
+		// the depth-1 run: whole-run wall per processor minus the
 		// modelled unoverlapped I/O time, spread over the supersteps.
 		crun := costmodel.Run{
 			Machine: costmodel.Machine{Par: true, V: s.V, P: s.P, D: 2, B: s.B,
@@ -120,11 +117,8 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 			}
 		}
 
-		var bestFixed time.Duration
-		var autoWall time.Duration
-		autoRing := 0
 		for _, k := range depthSweepKs {
-			best, worst, res, err := run(core.PipelineOn, k, newDisk)
+			best, worst, res, err := run(k, newDisk)
 			if err != nil {
 				return fmt.Errorf("depth %s k=%d: %w", label, k, err)
 			}
@@ -132,22 +126,15 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 				return fmt.Errorf("depth %s k=%d: schedules disagree on PDM cost: %+v vs %+v",
 					label, k, res.IO, syncRes.IO)
 			}
-			kLabel := fmt.Sprint(k)
-			if k == 0 {
-				kLabel = "auto"
-				autoWall, autoRing = best, res.Depth
-			} else if bestFixed == 0 || best < bestFixed {
-				bestFixed = best
-			}
 			pred := "-"
 			if tm != nil {
 				pred = trace.FormatFloat(crun.ModelWallPipelined(*tm, compute, res.Depth).StallFrac)
 			}
-			t.AddRow(label, kLabel, res.Depth, best.Round(time.Microsecond).String(),
+			t.AddRow(label, k, res.Depth, best.Round(time.Microsecond).String(),
 				trace.FormatFloat(stallFrac(res.Stall, best, s.P)), pred,
 				trace.FormatFloat(float64(syncWall)/float64(best)))
 			if s.Bench != nil {
-				s.Bench.Add(fmt.Sprintf("depth/%s/k=%s", label, kLabel), reps,
+				s.Bench.Add(fmt.Sprintf("depth/%s/k=%d", label, k), reps,
 					benchfmt.WallMetric(best, worst),
 					benchfmt.ExactMetric("parallel_ios", "ops", res.IO.ParallelOps),
 					benchfmt.ExactMetric("ring", "slots", int64(res.Depth)),
@@ -155,17 +142,12 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 						Value: stallFrac(res.Stall, best, s.P)})
 			}
 		}
-		if bestFixed > 0 && autoWall > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%s: auto resolved to ring %d, wall within %.0f%% of the best fixed depth",
-				label, autoRing, 100*(float64(autoWall)/float64(bestFixed)-1)))
-		}
 		return nil
 	}
 
 	// Calibrate the delay exactly as Pipeline does: per-processor
-	// modelled I/O time ≈ whole-run CPU wall of a synchronous MemDisk run.
-	cpuWall, _, cpuRes, err := run(core.PipelineOff, 0, nil)
+	// modelled I/O time ≈ whole-run CPU wall of a depth-1 MemDisk run.
+	cpuWall, _, cpuRes, err := run(1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("depth calibration: %w", err)
 	}
@@ -206,8 +188,8 @@ func DepthSweep(s Scale) (*trace.Table, error) {
 	}
 
 	t.Notes = append(t.Notes,
-		"ring = the resolved (auto: possibly grown) window depth the run finished with; depth 1 degenerates to the synchronous issue order with split-phase dispatch",
+		"ring = the resolved window depth the run used; the sync row is depth 1, the synchronous issue order with split-phase dispatch",
 		"stall frac = driver time blocked on in-flight I/O over p x wall; pred frac = costmodel overlap model at the same ring depth",
-		"wall = best of 3 runs per config; PDM parallel I/Os are asserted bit-identical against sync at every depth")
+		"wall = best of 3 runs per config; PDM parallel I/Os are asserted bit-identical against depth 1 at every depth")
 	return t, nil
 }

@@ -16,21 +16,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Pipeline measures what the split-phase pipelined schedule buys over the
-// synchronous reference on the sorting workload: wall time with the
-// pipeline off and on, the measured stall fraction (time the driver spent
-// blocked on in-flight I/O), and the end-to-end speedup. Three disk
-// substrates:
+// Pipeline measures what the pipeline window buys over the synchronous
+// issue order on the sorting workload: wall time at depth 1 (the "sync"
+// rows) and at the configured depth (the "pipelined" rows), the measured
+// stall fraction (time the driver spent blocked on in-flight I/O), and
+// the end-to-end speedup. Three disk substrates:
 //
-//   - mem: raw MemDisk — I/O is a memcpy, so the pipeline recovers
-//     dispatch overhead: the synchronous schedule parks the driver once
-//     per operation, the split-phase schedule once per superstep. At
-//     small block sizes (many small ops) that handoff cost dominates.
+//   - mem: raw MemDisk — I/O is a memcpy, so the window recovers
+//     dispatch overhead: at depth 1 the driver waits once per superstep
+//     phase, a deeper window lets those waits overlap compute. At small
+//     block sizes (many small ops) that handoff cost dominates.
 //   - mem+delay: MemDisk behind a DelayDisk whose per-track latency is
-//     calibrated from a synchronous MemDisk run so that modelled I/O time
-//     ≈ CPU time — the balanced regime pipelining targets, where the
-//     sync schedule pays R+C+W per superstep and the pipelined schedule
-//     pays ≈ max(C, R+W).
+//     calibrated from a depth-1 MemDisk run so that modelled I/O time
+//     ≈ CPU time — the balanced regime pipelining targets, where depth 1
+//     pays R+C+W per superstep and a deeper window pays ≈ max(C, R+W).
 //   - file: FileDisk on a temporary directory — real syscalls and page
 //     cache.
 //
@@ -42,7 +41,7 @@ import (
 // model's cost, only the wall clock.
 func Pipeline(s Scale) (*trace.Table, error) {
 	t := &trace.Table{
-		Title:   "Pipelined supersteps — split-phase I/O vs synchronous schedule (sort, N=" + fmt.Sprint(s.N) + ")",
+		Title:   "Pipelined supersteps — depth-k window vs depth 1, the synchronous issue order (sort, N=" + fmt.Sprint(s.N) + ")",
 		Columns: []string{"disks", "schedule", "wall", "parallel I/Os", "stall", "stall frac", "speedup"},
 	}
 	keys := workload.Int64s(41, s.N)
@@ -51,7 +50,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 	if s.Rec != nil {
 		reps = 1 // keep an attached trace to one run per schedule
 	}
-	run := func(mode core.PipelineMode, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
+	run := func(depth int, newDisk func(proc, disk int) pdm.Disk) (best, worst time.Duration, _ *core.Result[int64], _ error) {
 		var bestRes *core.Result[int64]
 		for r := 0; r < reps; r++ {
 			rec := s.Rec
@@ -59,10 +58,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 				rec = obs.NewRecorder()
 			}
 			cfg := core.Config{V: s.V, P: s.P, D: 2, B: s.B, Oblivious: true, Recorder: rec,
-				Pipeline: mode, NewDisk: newDisk}
-			if mode != core.PipelineOff {
-				cfg.PipelineDepth = s.Depth // the sync arm has no window
-			}
+				PipelineDepth: depth, NewDisk: newDisk}
 			if err := cfg.ValidateFor(s.N); err != nil {
 				return 0, 0, nil, err
 			}
@@ -83,11 +79,11 @@ func Pipeline(s Scale) (*trace.Table, error) {
 	}
 
 	pair := func(label string, newDisk func(proc, disk int) pdm.Disk) error {
-		syncWall, syncWorst, syncRes, err := run(core.PipelineOff, newDisk)
+		syncWall, syncWorst, syncRes, err := run(1, newDisk)
 		if err != nil {
 			return fmt.Errorf("pipeline %s sync: %w", label, err)
 		}
-		pipeWall, pipeWorst, pipeRes, err := run(core.PipelineOn, newDisk)
+		pipeWall, pipeWorst, pipeRes, err := run(s.Depth, newDisk)
 		if err != nil {
 			return fmt.Errorf("pipeline %s pipelined: %w", label, err)
 		}
@@ -112,7 +108,7 @@ func Pipeline(s Scale) (*trace.Table, error) {
 
 	// Calibrate the delay so the modelled disk subsystem matches this
 	// machine's CPU: per-processor I/O time ≈ whole-run CPU wall.
-	cpuWall, _, cpuRes, err := run(core.PipelineOff, nil)
+	cpuWall, _, cpuRes, err := run(1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline calibration: %w", err)
 	}
@@ -165,12 +161,12 @@ func stallFrac(stall, wall time.Duration, p int) float64 {
 	return float64(stall) / (float64(p) * float64(wall))
 }
 
-// benchPair emits the sync/pipelined pair of a wall-clock figure into
-// the scale's benchfmt file (a nil file ignores the call): wall with
-// best/worst dispersion, stall and the stall fraction (stall over
-// p × best wall — the overlap quantity emcgm-benchdiff gates), the
-// exact PDM op count, and — when the backend issues real syscalls —
-// the syscall count.
+// benchPair emits the sync (depth 1)/pipelined pair of a wall-clock
+// figure into the scale's benchfmt file (a nil file ignores the call):
+// wall with best/worst dispersion, stall and the stall fraction (stall
+// over p × best wall — the overlap quantity emcgm-benchdiff gates), the
+// exact PDM op count, and — when the backend issues real syscalls — the
+// syscall count.
 func benchPair[T any](f *benchfmt.File, name string, reps, p int,
 	syncBest, syncWorst time.Duration, syncRes *core.Result[T],
 	pipeBest, pipeWorst time.Duration, pipeRes *core.Result[T]) {

@@ -6,7 +6,7 @@ import (
 
 // Scratch holds the transient request/buffer storage of the
 // allocation-free layout entry points (WriteStripedScratch,
-// ReadStripedScratch, ReadFIFOScratch, WriteFIFOScratch). A zero Scratch
+// ReadStripedScratch and the split-phase Begin* forms). A zero Scratch
 // is ready to use; its slices grow on first use to the largest operation
 // seen and are reused afterwards, so a scratch kept across supersteps
 // makes the layout layer allocation-free in steady state.
@@ -124,19 +124,4 @@ func ReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst []pdm
 		}
 	}
 	return nil
-}
-
-// WriteFIFOScratch is WriteFIFO with the per-cycle disk conflict markers
-// taken from s instead of a fresh allocation.
-// emcgm:hotpath
-// emcgm:blocking
-func WriteFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch) (int, error) {
-	return fifo(arr, reqs, bufs, false, s)
-}
-
-// ReadFIFOScratch is the read-side analogue of WriteFIFOScratch.
-// emcgm:hotpath
-// emcgm:blocking
-func ReadFIFOScratch(arr *pdm.DiskArray, reqs []pdm.BlockReq, bufs [][]pdm.Word, s *Scratch) (int, error) {
-	return fifo(arr, reqs, bufs, true, s)
 }

@@ -75,9 +75,10 @@ func BeginReadStripedScratch(arr *pdm.DiskArray, baseTrack, startBlock int, dst 
 	return nil
 }
 
-// BeginWriteFIFOScratch is WriteFIFOScratch in split-phase form: the FIFO
-// request sequence is packed into the same maximal conflict-free cycles
-// and each cycle begun as one parallel I/O. Returns the number of
+// BeginWriteFIFOScratch is WriteFIFO in split-phase form, with the
+// per-cycle disk conflict markers taken from s: the FIFO request sequence
+// is packed into the same maximal conflict-free cycles and each cycle
+// begun as one parallel I/O. Returns the number of
 // operations begun.
 // emcgm:hotpath
 // emcgm:blocking

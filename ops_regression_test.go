@@ -81,20 +81,21 @@ func TestIOOpsMatchSeed(t *testing.T) {
 	})
 
 	// The file-backed disks must count exactly as MemDisk in every mode:
-	// buffered or O_DIRECT, synchronous or pipelined schedule, the batched
-	// vectored path included. Accounting is charged at operation begin, so
+	// buffered or O_DIRECT, depth 1 (the synchronous issue order, the
+	// "sync" case) or the default window, the batched vectored path
+	// included. Accounting is charged at operation begin, so
 	// none of the backend mechanics may show up in the PDM measure.
 	t.Run("filedisk-modes", func(t *testing.T) {
 		seed := want{1368, 792, 576, 4, 297} // the sort-seq case above
 		keys := workload.Int64s(7, 1<<12)
 		modes := []struct {
-			name     string
-			direct   bool
-			schedule core.PipelineMode
+			name   string
+			direct bool
+			depth  int
 		}{
-			{"buffered-sync", false, core.PipelineOff},
-			{"buffered-pipelined", false, core.PipelineOn},
-			{"direct-pipelined", true, core.PipelineOn},
+			{"buffered-sync", false, 1},
+			{"buffered-pipelined", false, 0},
+			{"direct-pipelined", true, 0},
 		}
 		for _, m := range modes {
 			t.Run(m.name, func(t *testing.T) {
@@ -104,7 +105,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 				}
 				cfg := core.Config{
 					V: 8, P: 1, D: 2, B: 64,
-					DiskDir: dir, DirectIO: m.direct, Pipeline: m.schedule, Oblivious: true,
+					DiskDir: dir, DirectIO: m.direct, PipelineDepth: m.depth, Oblivious: true,
 				}
 				_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 				if err != nil {
@@ -147,8 +148,7 @@ func TestIOOpsMatchSeed(t *testing.T) {
 		keys := workload.Int64s(7, 1<<12)
 		for _, k := range []int{1, 2, 4, 8} {
 			for p, seed := range seeds {
-				cfg := core.Config{V: 8, P: p, D: 2, B: 64,
-					Pipeline: core.PipelineOn, PipelineDepth: k, Oblivious: true}
+				cfg := core.Config{V: 8, P: p, D: 2, B: 64, PipelineDepth: k, Oblivious: true}
 				_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 				if err != nil {
 					t.Fatalf("k=%d p=%d: %v", k, p, err)
@@ -180,7 +180,7 @@ func TestIOOpsLiveExtent(t *testing.T) {
 	sortRun := func(cfg core.Config, n int) func(core.Config) (counts, error) {
 		keys := workload.Int64s(7, n)
 		return func(mode core.Config) (counts, error) {
-			cfg.Oblivious, cfg.Pipeline, cfg.PipelineDepth, cfg.DiskDir = mode.Oblivious, mode.Pipeline, mode.PipelineDepth, mode.DiskDir
+			cfg.Oblivious, cfg.PipelineDepth, cfg.DiskDir = mode.Oblivious, mode.PipelineDepth, mode.DiskDir
 			_, res, err := sortalg.EMSort(keys, wordcodec.I64{}, cfg)
 			if err != nil {
 				return counts{}, err
@@ -240,14 +240,13 @@ func TestIOOpsLiveExtent(t *testing.T) {
 	}
 
 	// Like the oblivious counts, the live ones are a function of the
-	// program and the geometry alone: every schedule, window depth and
-	// backend moves the same blocks.
+	// program and the geometry alone: every window depth (1 is the
+	// synchronous issue order) and backend moves the same blocks.
 	t.Run("schedule-invariance", func(t *testing.T) {
 		for _, c := range cases[:2] {
 			modes := []core.Config{
-				{Pipeline: core.PipelineOff},
 				{DiskDir: t.TempDir()},
-				{DiskDir: t.TempDir(), Pipeline: core.PipelineOff},
+				{DiskDir: t.TempDir(), PipelineDepth: 1},
 			}
 			for _, k := range []int{1, 2, 4, 8} {
 				modes = append(modes, core.Config{PipelineDepth: k})
@@ -258,8 +257,8 @@ func TestIOOpsLiveExtent(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != c.live {
-					t.Errorf("%s pipeline=%v depth=%d file=%v: counts %+v, pinned %+v",
-						c.name, m.Pipeline == core.PipelineOn, m.PipelineDepth, m.DiskDir != "", got, c.live)
+					t.Errorf("%s depth=%d file=%v: counts %+v, pinned %+v",
+						c.name, m.PipelineDepth, m.DiskDir != "", got, c.live)
 				}
 			}
 		}
